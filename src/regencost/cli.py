@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import cutflow, rlnc, tradeoff
-from .errors import NotApplicableError, RegenError
+from .errors import NonPositiveError, NotApplicableError, RegenError
 from .params import CodePoint, SystemParams, as_fraction, validate_params
 
 _CONFIG_KEYS = {
@@ -297,6 +297,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 points += 1
                 if not report.ok:
                     mismatches.append((params, report))
+        if not configs:
+            raise NonPositiveError(
+                f"sweep with max_k={args.max_k} max_d={args.max_d} covers no configurations; "
+                "both limits must be at least 1"
+            )
         if args.format == "json":
             payload = {
                 "configs": configs,
@@ -353,6 +358,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
     field = rlnc.make_field(args.field)
     seed = args.seed if args.seed is not None else int(os.environ.get("REGEN_SEED", "0"))
+    if args.trials < 1:
+        raise NonPositiveError(f"trials must be at least 1, got {args.trials}")
     trials = [
         rlnc.run_trial(
             params,

@@ -2,8 +2,11 @@
 
 Nodes store random linear combinations of the file symbols; only the
 coefficient vectors are tracked, since reconstruction is a rank question.
-The default field is GF(256) with reduction polynomial 0x11D; a prime
-field mode (mod 257) exists to cross-check the byte-field arithmetic.
+The default field is GF(256) with reduction polynomial 0x11D, whose rows
+are handled whole as ``bytes``; a prime field mode (mod 257) keeps
+per-element arithmetic to cross-check the byte-field one.  Each field
+supplies the row operations (``row``, ``combine``, ``rank``) that the
+repair and reconstruction code calls.
 """
 
 from __future__ import annotations
@@ -27,7 +30,13 @@ CHEAP, EXPENSIVE = "cheap", "expensive"
 
 
 class ByteField:
-    """GF(2^8) via log/exp tables; addition is xor."""
+    """GF(2^8) via log/exp tables; addition is xor.
+
+    Rows are ``bytes``.  Multiplying a row by ``c`` is one
+    ``row.translate(mul_tables[c])`` and adding two rows is one xor of
+    their big-endian integers: the table-lookup region multiply of Plank
+    et al., "Screaming fast Galois field arithmetic" (FAST 2013).
+    """
 
     order = 256
     polynomial = 0x11D
@@ -47,6 +56,11 @@ class ByteField:
             exp[power] = exp[power - 255]
         self._exp = exp
         self._log = log
+        # mul_tables[c][x] == c*x: translate each nonzero x's log through exp shifted by log(c)
+        logs, exps = bytes(log)[1:], bytes(exp)
+        self.mul_tables = (bytes(256),) + tuple(
+            b"\0" + logs.translate(exps[log[c] : log[c] + 256]) for c in range(1, 256)
+        )
 
     def add(self, a: int, b: int) -> int:
         return a ^ b
@@ -66,6 +80,43 @@ class ByteField:
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
+
+    def row(self, values: Sequence[int]) -> bytes:
+        """The field's working form of a coefficient row."""
+        return bytes(values)
+
+    def combine(self, rows: Sequence[bytes], width: int, rng: Random) -> bytes:
+        """Random combination of working rows: one ``rng.randrange(order)`` per row, in order."""
+        tables = self.mul_tables
+        acc = 0
+        for row in rows:
+            coeff = rng.randrange(self.order)
+            if coeff:
+                acc ^= int.from_bytes(row.translate(tables[coeff]), "big")
+        return acc.to_bytes(width, "big")
+
+    def rank(self, rows: Sequence[Sequence[int]]) -> int:
+        """Rank by Gaussian elimination; each step is one translate and one xor."""
+        tables = self.mul_tables
+        work = [bytes(row) for row in rows]
+        width = len(work[0]) if work else 0
+        rank = 0
+        for col in range(width):
+            pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
+            if pivot is None:
+                continue
+            work[rank], work[pivot] = work[pivot], work[rank]
+            lead = work[rank].translate(tables[self.inv(work[rank][col])])
+            for r in range(rank + 1, len(work)):
+                factor = work[r][col]
+                if factor:
+                    scaled = lead.translate(tables[factor])
+                    reduced = int.from_bytes(work[r], "big") ^ int.from_bytes(scaled, "big")
+                    work[r] = reduced.to_bytes(width, "big")
+            rank += 1
+            if rank == len(work):
+                break
+        return rank
 
 
 class PrimeField:
@@ -94,6 +145,37 @@ class PrimeField:
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
+    def row(self, values: Sequence[int]) -> tuple[int, ...]:
+        return tuple(values)
+
+    def combine(self, rows: Sequence[Sequence[int]], width: int, rng: Random) -> tuple[int, ...]:
+        out = [0] * width
+        for row in rows:
+            coeff = rng.randrange(self.order)
+            if coeff:
+                out = [self.add(v, self.mul(coeff, r)) for v, r in zip(out, row)]
+        return tuple(out)
+
+    def rank(self, rows: Sequence[Sequence[int]]) -> int:
+        work = [list(row) for row in rows]
+        width = len(work[0]) if work else 0
+        rank = 0
+        for col in range(width):
+            pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
+            if pivot is None:
+                continue
+            work[rank], work[pivot] = work[pivot], work[rank]
+            lead = self.inv(work[rank][col])
+            work[rank] = [self.mul(lead, v) for v in work[rank]]
+            for r in range(rank + 1, len(work)):
+                factor = work[r][col]
+                if factor:
+                    work[r] = [self.sub(v, self.mul(factor, p)) for v, p in zip(work[r], work[rank])]
+            rank += 1
+            if rank == len(work):
+                break
+        return rank
+
 
 Field = Union[ByteField, PrimeField]
 
@@ -111,26 +193,7 @@ def make_field(name: str) -> Field:
 
 def matrix_rank(rows: Sequence[Sequence[int]], field: Field) -> int:
     """Rank by Gaussian elimination over the given field."""
-    work = [list(row) for row in rows]
-    if not work:
-        return 0
-    width = len(work[0])
-    rank = 0
-    for col in range(width):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        lead = field.inv(work[rank][col])
-        work[rank] = [field.mul(lead, v) for v in work[rank]]
-        for r in range(rank + 1, len(work)):
-            factor = work[r][col]
-            if factor:
-                work[r] = [field.sub(v, field.mul(factor, p)) for v, p in zip(work[r], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+    return field.rank(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -191,15 +254,6 @@ def encode_initial(
     return StorageState(nodes=nodes, file_len=file_len, alpha_sym=alpha_sym, field=field)
 
 
-def _random_combination(rows: list[tuple[int, ...]], width: int, field: Field, rng: Random) -> tuple[int, ...]:
-    out = [0] * width
-    for row in rows:
-        coeff = rng.randrange(field.order)
-        if coeff:
-            out = [field.add(v, field.mul(coeff, r)) for v, r in zip(out, row)]
-    return tuple(out)
-
-
 def repair(
     state: StorageState,
     failed_node: int,
@@ -231,16 +285,14 @@ def repair(
                 raise InsufficientHelpersError(
                     f"node {helper} is {state.nodes[helper].tier}, expected {tier}"
                 )
-    received: list[tuple[int, ...]] = []
+    field, width = state.field, state.file_len
+    received: list[Sequence[int]] = []
     for helpers, count in ((helpers_cheap, beta1_sym), (helpers_expensive, beta2_sym)):
         for helper in helpers:
-            source_rows = list(state.nodes[helper].rows)
+            source_rows = [field.row(row) for row in state.nodes[helper].rows]
             for _ in range(count):
-                received.append(_random_combination(source_rows, state.file_len, state.field, rng))
-    new_rows = tuple(
-        _random_combination(received, state.file_len, state.field, rng)
-        for _ in range(state.alpha_sym)
-    )
+                received.append(field.combine(source_rows, width, rng))
+    new_rows = tuple(tuple(field.combine(received, width, rng)) for _ in range(state.alpha_sym))
     nodes = list(state.nodes)
     nodes[failed_node] = NodeState(rows=new_rows, tier=state.nodes[failed_node].tier)
     return StorageState(
@@ -326,6 +378,7 @@ def run_trial(
     alpha_sym = _checked_count(alpha_sym, "alpha_sym")
     beta2_sym = _checked_count(beta2_sym, "beta2_sym")
     num_failures = _checked_count(num_failures, "num_failures")
+    max_subsets = _checked_count(max_subsets, "max_subsets", minimum=1)
     beta1_sym = int(params.kprime) * beta2_sym
     n, k, d1, d2 = params.n, params.k, params.d1, params.d2
     if n_cheap is None:

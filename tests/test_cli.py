@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from fractions import Fraction
 
@@ -238,6 +239,13 @@ def test_verify_small_sweep(capsys):
     assert summary.startswith("configs=64 ") and summary.endswith("mismatches=0")
 
 
+def test_verify_sweep_over_no_configs_is_an_error(capsys):
+    code, out, err = run_cli(["verify", "--sweep", "--max-k", "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: NonPositive: ")
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -265,6 +273,40 @@ def test_simulate_json_is_reproducible(capsys):
     assert payload["success_rate_exact"] == str(
         F(payload["total_successes"], payload["total_checks"])
     )
+
+
+@pytest.mark.parametrize(
+    "flags,digest",
+    [
+        (
+            [*A_WIDE_FLAGS, "--M", "60", "--alpha-sym", "12", "--beta2-sym", "1", "--failures", "3",
+             "--trials", "5", "--max-subsets", "20", "--seed", "7"],
+            "8e92085fab68259a2641cac560f2d900fd3b1d0026671916da718a90a12e372a",
+        ),
+        (
+            [*SIM_FLAGS, "--alpha-sym", "5", "--beta2-sym", "1", "--failures", "4", "--trials", "20",
+             "--seed", "3", "--field", "p257", "--helper-mode", "worst-case"],
+            "e8d752c1437aeff46a0185f7e17668652045c1553ef7bce1592270b8f35e73cd",
+        ),
+    ],
+    ids=["gf256", "p257-worst-case"],
+)
+def test_simulate_json_matches_frozen_digest(flags, digest, capsys):
+    # digests of the seeded JSON record, frozen so a change of output between commits shows
+    code, out, _ = run_cli(["simulate", *flags, "--format", "json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--max-subsets"])
+def test_simulate_rejects_zero_counts(flag, capsys):
+    code, out, err = run_cli(
+        ["simulate", *SIM_FLAGS, "--alpha-sym", "5", "--beta2-sym", "1", "--trials", "2", flag, "0"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: NonPositive: ")
 
 
 def test_simulate_seed_env_fallback(capsys, monkeypatch):

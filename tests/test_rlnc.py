@@ -54,6 +54,13 @@ def test_bytefield_generator_covers_all_nonzero_values():
     assert values == set(range(1, 256))
 
 
+def test_bytefield_mul_tables_match_mul_exhaustive():
+    tables = GF256.mul_tables
+    assert len(tables) == 256 and all(len(table) == 256 for table in tables)
+    for a in range(256):
+        assert list(tables[a]) == [GF256.mul(a, b) for b in range(256)]
+
+
 def test_bytefield_axioms_sampled():
     rng = Random(0)
     for _ in range(300):
@@ -139,6 +146,66 @@ def test_matrix_rank_field_sensitivity():
     assert matrix_rank(rows, PrimeField(257)) == 3
 
 
+def _scalar_rank(rows):
+    """Reference GF(256) elimination, one element at a time through GF256.mul and GF256.inv."""
+    work = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        lead = GF256.inv(work[rank][col])
+        work[rank] = [GF256.mul(lead, v) for v in work[rank]]
+        for r in range(len(work)):
+            if r != rank and work[r][col]:
+                factor = work[r][col]
+                work[r] = [v ^ GF256.mul(factor, p) for v, p in zip(work[r], work[rank])]
+        rank += 1
+    return rank
+
+
+def _scalar_combination(rows, width, rng):
+    """Reference random combination: one coefficient draw per row, per-element products."""
+    out = [0] * width
+    for row in rows:
+        coeff = rng.randrange(256)
+        out = [v ^ GF256.mul(coeff, x) for v, x in zip(out, row)]
+    return tuple(out)
+
+
+def _random_matrix(rng, height, width):
+    return [[rng.randrange(256) for _ in range(width)] for _ in range(height)]
+
+
+@pytest.mark.parametrize("height,width", [(1, 1), (5, 5), (12, 12), (20, 7), (7, 20), (30, 30)])
+def test_matrix_rank_matches_scalar_elimination_on_random_matrices(height, width):
+    rng = Random(height * 100 + width)
+    for _ in range(10):
+        rows = _random_matrix(rng, height, width)
+        assert matrix_rank(rows, GF256) == _scalar_rank(rows)
+
+
+@pytest.mark.parametrize("height,width,spanning", [(8, 8, 3), (15, 6, 4), (6, 15, 2), (20, 20, 19)])
+def test_matrix_rank_matches_scalar_elimination_when_rank_deficient(height, width, spanning):
+    rng = Random(spanning)
+    for _ in range(10):
+        basis = _random_matrix(rng, spanning, width)
+        rows = [_scalar_combination(basis, width, rng) for _ in range(height)]
+        rank = matrix_rank(rows, GF256)
+        assert rank == _scalar_rank(rows)
+        assert rank <= spanning < min(height, width)
+
+
+def test_matrix_rank_matches_scalar_elimination_with_a_zero_column():
+    rng = Random(3)
+    for col in (0, 4, 9):
+        rows = _random_matrix(rng, 10, 10)
+        for row in rows:
+            row[col] = 0
+        assert matrix_rank(rows, GF256) == _scalar_rank(rows) == 9
+
+
 # ---------------------------------------------------------------------------
 # storage state
 
@@ -185,6 +252,20 @@ def test_repair_replaces_only_the_failed_node():
     for i in (0, 1, 3):
         assert repaired.nodes[i] == state.nodes[i]
     assert repair(state, 2, [0, 1], [3], beta1_sym=2, beta2_sym=1, rng=Random(9)) == repaired
+
+
+def test_repair_rows_match_per_element_recomputation():
+    state = encode_initial(6, 5, 3, GF256, seed=4, tiers=("cheap",) * 3 + ("expensive",) * 2)
+    for seed in range(5):
+        repaired = repair(state, 1, [0, 2], [4], beta1_sym=2, beta2_sym=1, rng=Random(seed))
+        rng = Random(seed)
+        received = [
+            _scalar_combination(state.nodes[helper].rows, 6, rng)
+            for helper, count in ((0, 2), (2, 2), (4, 1))
+            for _ in range(count)
+        ]
+        expected = tuple(_scalar_combination(received, 6, rng) for _ in range(state.alpha_sym))
+        assert repaired.nodes[1].rows == expected
 
 
 def test_repair_validates_helpers():
@@ -327,3 +408,5 @@ def test_run_trial_validation():
         run_trial(GMBR_PARAMS, alpha_sym=5, beta2_sym=1, num_failures=1, seed=0, helper_mode="greedy")
     with pytest.raises(NonPositiveError):
         run_trial(GMBR_PARAMS, alpha_sym=5, beta2_sym=1, num_failures=-1, seed=0)
+    with pytest.raises(NonPositiveError):
+        run_trial(GMBR_PARAMS, alpha_sym=5, beta2_sym=1, num_failures=1, seed=0, max_subsets=0)
