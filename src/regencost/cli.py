@@ -183,10 +183,10 @@ def _curve_rows(params: SystemParams, samples: int, breakpoints_only: bool) -> l
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    params = _params_from_args(args)
+    rows = _curve_rows(_params_from_args(args), args.samples, args.breakpoints_only)
     writer = csv.writer(sys.stdout)
     writer.writerow(_CURVE_HEADER)
-    writer.writerows(_curve_rows(params, args.samples, args.breakpoints_only))
+    writer.writerows(rows)
     return 0
 
 

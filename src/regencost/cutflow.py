@@ -32,9 +32,7 @@ from .errors import (
     InvalidConstructionError,
     NonPositiveError,
 )
-from .params import RationalLike, Scenario, SystemParams, as_fraction
-
-CHEAP, EXPENSIVE = "cheap", "expensive"
+from .params import RationalLike, Scenario, SystemParams, as_fraction, repair_history
 
 
 # ---------------------------------------------------------------------------
@@ -83,28 +81,6 @@ def alpha_min_oracle(params: SystemParams, beta2: RationalLike) -> Fraction:
             return candidate
         saturated += term
     return terms[-1]  # only reachable when the total equals the file size
-
-
-def alpha_min_bisect(
-    params: SystemParams,
-    beta2: RationalLike,
-    tol: Fraction = Fraction(1, 10**9),
-) -> Fraction:
-    """Bisection fallback for alpha_min_oracle; result is within tol above exact."""
-    terms = cut_terms(params, beta2)
-    target = params.file_size
-    if sum(terms) < target:
-        raise InsufficientRepairBandwidthError(
-            f"total cut capacity {sum(terms)} cannot reach file size {target}"
-        )
-    lo, hi = Fraction(0), max(terms)
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if sum(min(term, mid) for term in terms) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def _checked_nonnegative(value: RationalLike, what: str) -> Fraction:
@@ -361,9 +337,11 @@ def random_history_graph(
 ) -> FlowGraph:
     """A uniformly random valid repair history over all n nodes, plus a random collector.
 
-    Tier sizes are drawn from the valid range unless ``n_cheap`` pins them;
-    a node may fail only while its tier can still field a full helper set,
-    and every replacement inherits the failed node's tier.
+    Tier sizes are drawn from the valid range unless ``n_cheap`` pins them.
+    The failures and their helpers come from
+    :func:`regencost.params.repair_history`: a node may fail only while its
+    tier can still field a full helper set, and every replacement inherits
+    the failed node's tier.
     """
     a = _checked_nonnegative(alpha, "alpha")
     b2 = _checked_nonnegative(beta2, "beta2")
@@ -377,22 +355,12 @@ def random_history_graph(
         raise InvalidConstructionError(
             f"n_cheap={n_cheap} cannot supply d1={d1} cheap and d2={d2} expensive helpers"
         )
-    tier = [CHEAP if i < n_cheap else EXPENSIVE for i in range(n)]
-    tier_count = {CHEAP: n_cheap, EXPENSIVE: n - n_cheap}
-    need = {CHEAP: d1, EXPENSIVE: d2}
     builder = _GraphBuilder(a)
     live = {i: builder.add_storage(f"o{i}", from_source=True) for i in range(n)}
-    for t in range(failures):
-        failable = [
-            i for i in range(n) if tier_count[tier[i]] - 1 >= need[tier[i]]
-        ]
-        if not failable:
-            raise InvalidConstructionError("no node can fail without starving its tier")
-        failed = rng.choice(failable)
+    for t, (failed, cheap, expensive) in enumerate(repair_history(params, n_cheap, failures, rng)):
         name = builder.add_storage(f"x{t}", from_source=False)
-        for helper_tier, count, amount in ((CHEAP, d1, b1), (EXPENSIVE, d2, b2)):
-            pool = sorted(i for i in range(n) if i != failed and tier[i] == helper_tier)
-            for helper in rng.sample(pool, count):
+        for helpers, amount in ((cheap, b1), (expensive, b2)):
+            for helper in helpers:
                 builder.add_download(live[helper], name, amount)
         live[failed] = name
     for reader in rng.sample(sorted(live), k):

@@ -15,10 +15,12 @@ tolerances.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Union
+from random import Random
+from typing import Iterator, Union
 
 from .errors import (
     InvalidCostOrderError,
@@ -28,6 +30,8 @@ from .errors import (
 )
 
 RationalLike = Union[int, str, Fraction]
+
+CHEAP, EXPENSIVE = "cheap", "expensive"
 
 
 def as_fraction(value: RationalLike, what: str = "value") -> Fraction:
@@ -142,8 +146,52 @@ def validate_params(
 
 
 def classify_scenario(params: SystemParams) -> Scenario:
-    """Scenario A when cheap helpers alone could rebuild (d1 >= k), else B."""
+    """Deprecated alias of ``params.scenario``."""
+    warnings.warn(
+        "classify_scenario is deprecated; use SystemParams.scenario", DeprecationWarning, stacklevel=2
+    )
     return params.scenario
+
+
+def repair_history(
+    params: SystemParams,
+    n_cheap: int,
+    failures: int,
+    rng: Random,
+    worst_case: bool = False,
+) -> Iterator[tuple[int, list[int], list[int]]]:
+    """Seeded repair events over n nodes whose first ``n_cheap`` are cheap.
+
+    Yields ``(failed, cheap_helpers, expensive_helpers)`` once per failure.
+    A node may fail only while its tier keeps d1 (cheap) or d2 (expensive)
+    other nodes, and its replacement keeps its tier, so tier sizes never
+    change.  Each event draws one ``rng.choice`` for the failed node, then,
+    unless ``worst_case``, one ``rng.sample`` of helpers per tier, cheap
+    first; ``worst_case`` takes the most recently replaced nodes of each
+    tier instead, lower index first among equals.  Draws happen as each
+    event is requested, so callers may use ``rng`` between events.
+
+    The caller checks ``d1 <= n_cheap <= n - d2``.  With n >= d + 1 that
+    leaves one tier with a spare node, so some node can always fail and
+    every pool holds enough helpers.
+    """
+    n = params.n
+    tiers = (range(n_cheap), range(n_cheap, n))
+    needs = (params.d1, params.d2)
+    failable = [i for tier, need in zip(tiers, needs) if len(tier) > need for i in tier]
+    last_replaced = [-1] * n
+    for t in range(failures):
+        failed = rng.choice(failable)
+        helpers = []
+        for tier, need in zip(tiers, needs):
+            pool = [i for i in tier if i != failed]
+            if worst_case:
+                pool.sort(key=lambda i: (-last_replaced[i], i))
+                helpers.append(pool[:need])
+            else:
+                helpers.append(rng.sample(pool, need))
+        last_replaced[failed] = t
+        yield failed, helpers[0], helpers[1]
 
 
 def repair_bandwidth(params: SystemParams, beta2: RationalLike) -> Fraction:

@@ -24,9 +24,7 @@ from .errors import (
     NonPositiveError,
     UnknownNodeError,
 )
-from .params import SystemParams
-
-CHEAP, EXPENSIVE = "cheap", "expensive"
+from .params import CHEAP, EXPENSIVE, SystemParams, repair_history
 
 
 class ByteField:
@@ -388,30 +386,11 @@ def run_trial(
             f"n_cheap={n_cheap} cannot supply d1={d1} cheap and d2={d2} expensive helpers"
         )
     tiers = tuple(CHEAP if i < n_cheap else EXPENSIVE for i in range(n))
-    need = {CHEAP: d1, EXPENSIVE: d2}
-    count = {CHEAP: n_cheap, EXPENSIVE: n - n_cheap}
     rng = Random(seed)
     state = encode_initial(int(params.file_size), n, alpha_sym, field, rng.getrandbits(32), tiers)
-    last_replaced = [-1] * n
-    for t in range(num_failures):
-        failable = [i for i in range(n) if count[tiers[i]] - 1 >= need[tiers[i]]]
-        if not failable:
-            raise InsufficientHelpersError("no node can fail without starving its tier")
-        failed = rng.choice(failable)
-        chosen: dict[str, list[int]] = {}
-        for tier in (CHEAP, EXPENSIVE):
-            pool = [i for i in range(n) if i != failed and tiers[i] == tier]
-            if len(pool) < need[tier]:
-                raise InsufficientHelpersError(
-                    f"only {len(pool)} live {tier} helpers, need {need[tier]}"
-                )
-            if helper_mode == "worst-case":
-                pool.sort(key=lambda i: (-last_replaced[i], i))
-                chosen[tier] = pool[: need[tier]]
-            else:
-                chosen[tier] = rng.sample(pool, need[tier])
-        state = repair(state, failed, chosen[CHEAP], chosen[EXPENSIVE], beta1_sym, beta2_sym, rng)
-        last_replaced[failed] = t
+    history = repair_history(params, n_cheap, num_failures, rng, worst_case=helper_mode == "worst-case")
+    for failed, cheap, expensive in history:
+        state = repair(state, failed, cheap, expensive, beta1_sym, beta2_sym, rng)
     checks = tuple(
         ReconstructionCheck(nodes=subset, success=can_reconstruct(state, subset))
         for subset in _collector_subsets(n, k, max_subsets, rng)

@@ -8,7 +8,11 @@ ratios comparing two-tier repair against symmetric repair at the same
 total helper count d = d1 + d2.
 
 Scenario A (d1 >= k) and Scenario B (d1 < k) have different branch
-structures; every public function dispatches on ``params.scenario``.
+formulas.  The curve is built once from them: ``_piece_start`` and
+``_piece_tail2`` map each piece to its scenario's formulas, and
+``alpha_min``, ``beta2_min``, the two-tier points and ``tradeoff_curve``
+read the pieces only through those two helpers.  The ratio, threshold
+and limit closed forms keep their own per-scenario formulas.
 """
 
 from __future__ import annotations
@@ -144,62 +148,61 @@ def _tail2_b_lower(params: SystemParams, i: int) -> Fraction:
     return (i + 1) * (2 * params.d2 + i * params.kprime)
 
 
+# piece i of the curve, for i in 0..k-1, is alpha = (2M - tail2_i * beta2) / (2 (k - i))
+# from its start up to the start of piece i - 1; piece 0 is the flat branch
+# and piece k-1 starts at beta2_min.  Scenario B's pieces are the k - d1
+# upper-range ones followed by the d1 lower-range ones.
+
+
+def _piece_start(params: SystemParams, i: int) -> Fraction:
+    if params.scenario is Scenario.A:
+        return breakpoint_a(params, i)
+    upper = params.k - params.d1
+    if i < upper:
+        return breakpoint_b1(params, i)
+    return breakpoint_b2(params, i - upper)
+
+
+def _piece_tail2(params: SystemParams, i: int) -> Fraction:
+    if params.scenario is Scenario.A:
+        return _tail2_a(params, i)
+    upper = params.k - params.d1
+    if i < upper:
+        return _tail2_b_upper(params, i)
+    return _tail2_b_upper(params, upper - 1) + _tail2_b_lower(params, i - upper)
+
+
 # ---------------------------------------------------------------------------
 # minimum storage
 
 
 def alpha_min(params: SystemParams, beta2: RationalLike) -> Fraction:
     """Least per-node storage meeting the reconstruction bound at this beta2."""
-    if params.scenario is Scenario.A:
-        return alpha_min_a(params, beta2)
-    return alpha_min_b(params, beta2)
+    b2 = _checked_beta2(beta2)
+    M, k = params.file_size, params.k
+    if b2 > 0 and b2 >= _piece_start(params, 0):
+        return M / k
+    for i in range(1, k):
+        if b2 >= _piece_start(params, i):
+            return (2 * M - _piece_tail2(params, i) * b2) / (2 * (k - i))
+    raise InsufficientRepairBandwidthError(
+        f"beta2={b2} is below the feasibility threshold {beta2_min(params)}"
+    )
 
 
 def alpha_min_a(params: SystemParams, beta2: RationalLike) -> Fraction:
     _require(params, Scenario.A)
-    b2 = _checked_beta2(beta2)
-    M, k = params.file_size, params.k
-    if b2 > 0 and b2 >= breakpoint_a(params, 0):
-        return M / k
-    for i in range(1, k):
-        if b2 >= breakpoint_a(params, i):
-            return (2 * M - _tail2_a(params, i) * b2) / (2 * (k - i))
-    raise InsufficientRepairBandwidthError(
-        f"beta2={b2} is below the feasibility threshold {beta2_min(params)}"
-    )
+    return alpha_min(params, beta2)
 
 
 def alpha_min_b(params: SystemParams, beta2: RationalLike) -> Fraction:
     _require(params, Scenario.B)
-    b2 = _checked_beta2(beta2)
-    M, k, d1 = params.file_size, params.k, params.d1
-    if b2 > 0 and b2 >= breakpoint_b1(params, 0):
-        return M / k
-    for i in range(1, k - d1):
-        if b2 >= breakpoint_b1(params, i):
-            return (2 * M - _tail2_b_upper(params, i) * b2) / (2 * (k - i))
-    upper_tail = _tail2_b_upper(params, k - d1 - 1)
-    for i in range(0, d1):
-        if b2 >= breakpoint_b2(params, i):
-            return (2 * M - (upper_tail + _tail2_b_lower(params, i)) * b2) / (2 * (d1 - i))
-    raise InsufficientRepairBandwidthError(
-        f"beta2={b2} is below the feasibility threshold {beta2_min(params)}"
-    )
+    return alpha_min(params, beta2)
 
 
 def beta2_min(params: SystemParams) -> Fraction:
     """Smallest expensive-tier download for which any storage size suffices."""
-    M, k, d, d1, d2, kp = (
-        params.file_size,
-        params.k,
-        params.d,
-        params.d1,
-        params.d2,
-        params.kprime,
-    )
-    if params.scenario is Scenario.A:
-        return 2 * M / (k * (2 * d1 * kp + 2 * d2 - k * kp + kp))
-    return 2 * M / (2 * k * d - k * k + k + (d1 * d1 + d1) * (kp - 1))
+    return _piece_start(params, params.k - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -208,21 +211,13 @@ def beta2_min(params: SystemParams) -> Fraction:
 
 def gmsr_point(params: SystemParams) -> CodePoint:
     """Minimum-storage point of the two-tier curve (alpha = M/k, least gamma)."""
-    M, k, d, d1, d2, kp = _unpack(params)
-    if params.scenario is Scenario.A:
-        gamma = M * (d2 + kp * d1) / (k * (d1 * kp + d2 - k * kp + kp))
-    else:
-        gamma = M * (d1 * kp + d2) / (k * (d - k + 1))
-    return _two_tier_point(params, alpha=M / k, gamma=gamma)
+    gamma = params.gamma_per_beta2 * _piece_start(params, 0)
+    return _two_tier_point(params, alpha=params.file_size / params.k, gamma=gamma)
 
 
 def gmbr_point(params: SystemParams) -> CodePoint:
     """Minimum-bandwidth point of the two-tier curve (alpha = gamma)."""
-    M, k, d, d1, d2, kp = _unpack(params)
-    if params.scenario is Scenario.A:
-        gamma = 2 * M * (d2 + kp * d1) / (k * (2 * d1 * kp + 2 * d2 - k * kp + kp))
-    else:
-        gamma = 2 * M * (d1 * kp + d2) / (2 * k * d - k * k + k + (d1 * d1 + d1) * (kp - 1))
+    gamma = params.gamma_per_beta2 * beta2_min(params)
     return _two_tier_point(params, alpha=gamma, gamma=gamma)
 
 
@@ -395,53 +390,19 @@ class TradeoffCurve:
 
 def tradeoff_curve(params: SystemParams) -> TradeoffCurve:
     """Assemble the alpha_min segments covering [beta2_min, infinity)."""
-    M, k, d, d1, d2, kp = _unpack(params)
-    segments: list[TradeoffSegment] = []
-    if params.scenario is Scenario.A:
-        for i in range(k - 1, 0, -1):
-            segments.append(
-                TradeoffSegment(
-                    beta2_lo=breakpoint_a(params, i),
-                    beta2_hi=breakpoint_a(params, i - 1),
-                    intercept=M / (k - i),
-                    slope=_tail2_a(params, i) / (2 * (k - i)),
-                    segment_index=i,
-                )
-            )
-        flat_start = breakpoint_a(params, 0)
-    else:
-        upper_tail = _tail2_b_upper(params, k - d1 - 1)
-        for i in range(d1 - 1, -1, -1):
-            segments.append(
-                TradeoffSegment(
-                    beta2_lo=breakpoint_b2(params, i),
-                    beta2_hi=breakpoint_b2(params, i - 1),
-                    intercept=M / (d1 - i),
-                    slope=(upper_tail + _tail2_b_lower(params, i)) / (2 * (d1 - i)),
-                    segment_index=k - d1 + i,
-                )
-            )
-        for i in range(k - d1 - 1, 0, -1):
-            segments.append(
-                TradeoffSegment(
-                    beta2_lo=breakpoint_b1(params, i),
-                    beta2_hi=breakpoint_b1(params, i - 1),
-                    intercept=M / (k - i),
-                    slope=_tail2_b_upper(params, i) / (2 * (k - i)),
-                    segment_index=i,
-                )
-            )
-        flat_start = breakpoint_b1(params, 0)
-    segments.append(
+    M, k = params.file_size, params.k
+    starts = [_piece_start(params, i) for i in range(k)]
+    segments = tuple(
         TradeoffSegment(
-            beta2_lo=flat_start,
-            beta2_hi=None,
-            intercept=M / k,
-            slope=Fraction(0),
-            segment_index=0,
+            beta2_lo=starts[i],
+            beta2_hi=starts[i - 1] if i else None,
+            intercept=M / (k - i),
+            slope=_piece_tail2(params, i) / (2 * (k - i)),
+            segment_index=i,
         )
+        for i in range(k - 1, -1, -1)
     )
-    return TradeoffCurve(params=params, beta2_min=beta2_min(params), segments=tuple(segments))
+    return TradeoffCurve(params=params, beta2_min=starts[-1], segments=segments)
 
 
 def operating_point(params: SystemParams, beta2: RationalLike) -> CodePoint:

@@ -132,9 +132,25 @@ def test_curve_sampling_properties(capsys):
 
 
 def test_curve_rejects_tiny_sample_counts(capsys):
-    code, _, err = run_cli(["curve", "--samples", "1", *A_SMALL_FLAGS], capsys)
-    assert code == 2
-    assert "--samples" in err
+    for samples in ("0", "1"):
+        code, out, err = run_cli(["curve", "--samples", samples, *A_SMALL_FLAGS], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--samples" in err
+
+
+@pytest.mark.parametrize(
+    "flags,digest",
+    [
+        (A_WIDE_FLAGS, "56e02a7c8a4144c53ca7c9d34eca240f1e940546aa07124d65d266a687db2c13"),
+        (B_WIDE_FLAGS, "02c959f8632a5d7cbba69d7bd113ff4370ea28b68e4049e6c5afff9a112da62a"),
+    ],
+    ids=["A", "B"],
+)
+def test_curve_matches_frozen_digest(flags, digest, capsys):
+    code, out, _ = run_cli(["curve", *flags, "--M", "60", "--c2", "3"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +253,13 @@ def test_verify_small_sweep(capsys):
     assert code == 0
     summary = out.splitlines()[-1]
     assert summary.startswith("configs=64 ") and summary.endswith("mismatches=0")
+
+
+def test_verify_sweep_json_matches_frozen_digest(capsys):
+    code, out, _ = run_cli(["verify", "--sweep", "--max-k", "3", "--max-d", "5", "--format", "json"], capsys)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "90786a07395ac699a65d3325bf0a4ecd59e0da4d29a8f7f753cc8e9734551c46"
 
 
 def test_verify_sweep_over_no_configs_is_an_error(capsys):
@@ -397,6 +420,23 @@ def test_paper_figures_writes_all_sweeps(tmp_path, capsys):
         curve_rows = [row for row in csv.reader(handle)][1:]
     assert {row[0] for row in curve_rows} == {"1", "2", "4"}
     assert len(curve_rows) >= 600
+
+
+FIGURE_DIGESTS = {
+    "msr_ratio_sweep_a.csv": "36ea6847505be33bc39f31de04fc652d786b4ee4722d4f2e6ab809076e50262a",
+    "mbr_ratio_sweep_a.csv": "f58cbda24e4ac541479a34c40065f37cef84f5a69434e4894434da879cdc0ce5",
+    "mbr_ratio_sweep_b.csv": "d7c7b617ab7cffb8f5266428b12c18f82ac4692f9d066135929fde2299d4f277",
+    "tradeoff_curves_a.csv": "653488c17569305a160c04f11cc80a6131a07908e1d707ea321446d3bfa821a0",
+    "cost_ratio_vs_kprime_a.csv": "970a1d762ad232caf0667b8ca2697e8a69b33c5201e1c3a37acf6a356456c27c",
+    "thresholds.csv": "d672f5c38ec15f14f1f822be439b195c87ffae5188bfa5ab3cf40022add4debe",
+}
+
+
+def test_paper_figures_match_frozen_digests(tmp_path, capsys):
+    code, _, _ = run_cli(["paper-figures", "--outdir", str(tmp_path)], capsys)
+    assert code == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in FIGURE_DIGESTS}
+    assert digests == FIGURE_DIGESTS
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -16,12 +17,14 @@ from regencost import (
     total_cost,
     validate_params,
 )
+from regencost.params import repair_history
 
 
 def test_scenario_a_when_cheap_tier_alone_can_rebuild():
     params = validate_params(15, 5, 8, 6, kprime=2)
     assert params.scenario is Scenario.A
-    assert classify_scenario(params) is Scenario.A
+    with pytest.warns(DeprecationWarning, match="SystemParams.scenario"):
+        assert classify_scenario(params) is Scenario.A
     assert params.d == 14
 
 
@@ -139,3 +142,54 @@ def test_code_point_flags_beta1_above_alpha():
     high = CodePoint(alpha=Fraction(1), beta1=Fraction(2), beta2=Fraction(1), gamma=Fraction(5))
     assert not low.beta1_exceeds_alpha
     assert high.beta1_exceeds_alpha
+
+
+# ---------------------------------------------------------------------------
+# repair histories
+
+
+def _valid_tierings(max_n):
+    """Every (params, n_cheap) with n <= max_n, k = 1 and d1 <= n_cheap <= n - d2."""
+    for n in range(2, max_n + 1):
+        for d1 in range(n):
+            for d2 in range(n - d1):
+                if d1 + d2 == 0:
+                    continue
+                params = make_params(1, d1, d2, n=n)
+                for n_cheap in range(d1, n - d2 + 1):
+                    yield params, n_cheap
+
+
+def test_repair_history_always_has_a_failable_node_and_full_pools():
+    # n >= d + 1 and d1 <= n_cheap <= n - d2 leave one tier a spare node, so
+    # the history never runs out of nodes that can fail or of helpers
+    configs = 0
+    for params, n_cheap in _valid_tierings(9):
+        n, d1, d2 = params.n, params.d1, params.d2
+        assert n_cheap - d1 >= 1 or (n - n_cheap) - d2 >= 1
+        cheap, expensive = set(range(n_cheap)), set(range(n_cheap, n))
+        for worst_case in (False, True):
+            events = list(repair_history(params, n_cheap, 2 * n, Random(n_cheap), worst_case))
+            assert len(events) == 2 * n
+            for failed, cheap_helpers, expensive_helpers in events:
+                tier = cheap if failed in cheap else expensive
+                assert len(tier) - 1 >= (d1 if tier is cheap else d2)
+                assert len(cheap_helpers) == d1 and set(cheap_helpers) <= cheap - {failed}
+                assert len(expensive_helpers) == d2 and set(expensive_helpers) <= expensive - {failed}
+                assert len(set(cheap_helpers)) == d1 and len(set(expensive_helpers)) == d2
+        configs += 1
+    assert configs > 500
+
+
+def test_repair_history_worst_case_draws_only_the_failed_nodes():
+    params = make_params(2, 2, 2, n=7)
+    events = list(repair_history(params, 4, 12, Random(5), worst_case=True))
+    replay = Random(5)
+    failable = [0, 1, 2, 3, 4, 5, 6]
+    assert [failed for failed, _, _ in events] == [replay.choice(failable) for _ in range(12)]
+    last = {}
+    for t, (failed, cheap_helpers, expensive_helpers) in enumerate(events):
+        for tier, helpers in ((range(4), cheap_helpers), (range(4, 7), expensive_helpers)):
+            pool = sorted((i for i in tier if i != failed), key=lambda i: (-last.get(i, -1), i))
+            assert helpers == pool[:2]
+        last[failed] = t

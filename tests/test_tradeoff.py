@@ -25,6 +25,7 @@ from regencost import (
     total_cost,
     tradeoff_curve,
 )
+from regencost import cutflow, tradeoff
 from regencost.cutflow import verification_sweep
 from regencost.tradeoff import alpha_min_a, alpha_min_b, breakpoint_a, breakpoint_b1, breakpoint_b2
 
@@ -36,6 +37,11 @@ A_WIDE = make_params(5, 8, 6, kprime=2, n=15)
 B_WIDE = make_params(5, 4, 10, kprime=2, n=15)
 
 SWEEP = list(verification_sweep(max_k=4, max_d=6, kprimes=(1, 2, 3)))
+# rational kprime and file size, scenarios A and B, both tiers and each tier empty
+RATIONAL = [
+    make_params(k, d1, d2, kprime=F(5, 2), file_size=F(7, 3))
+    for k, d1, d2 in ((3, 4, 2), (3, 3, 0), (4, 1, 5), (4, 0, 6), (2, 1, 1), (1, 0, 1))
+]
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +168,56 @@ def test_beta2_min_values():
 def test_beta2_min_is_first_breakpoint():
     for params in SWEEP:
         assert tradeoff_curve(params).breakpoints()[0] == beta2_min(params)
+
+
+# the paper's closed forms for the feasibility edge and the two extremal
+# gammas, stated here apart from the library's piece formulas
+
+
+def _paper_beta2_min(p):
+    M, k, d, d1, d2, kp = p.file_size, p.k, p.d, p.d1, p.d2, p.kprime
+    if d1 >= k:
+        return 2 * M / (k * (2 * d1 * kp + 2 * d2 - k * kp + kp))
+    return 2 * M / (2 * k * d - k * k + k + (d1 * d1 + d1) * (kp - 1))
+
+
+def _paper_gmsr_gamma(p):
+    M, k, d, d1, d2, kp = p.file_size, p.k, p.d, p.d1, p.d2, p.kprime
+    if d1 >= k:
+        return M * (d2 + kp * d1) / (k * (d1 * kp + d2 - k * kp + kp))
+    return M * (d1 * kp + d2) / (k * (d - k + 1))
+
+
+def _paper_gmbr_gamma(p):
+    M, k, d, d1, d2, kp = p.file_size, p.k, p.d, p.d1, p.d2, p.kprime
+    if d1 >= k:
+        return 2 * M * (d2 + kp * d1) / (k * (2 * d1 * kp + 2 * d2 - k * kp + kp))
+    return 2 * M * (d1 * kp + d2) / (2 * k * d - k * k + k + (d1 * d1 + d1) * (kp - 1))
+
+
+def test_beta2_min_and_extremal_gammas_match_the_paper_formulas():
+    for params in SWEEP + RATIONAL:
+        assert beta2_min(params) == _paper_beta2_min(params)
+        assert gmsr_point(params).gamma == _paper_gmsr_gamma(params)
+        assert gmbr_point(params).gamma == _paper_gmbr_gamma(params)
+
+
+def test_closed_form_does_not_use_the_cut_oracle(monkeypatch):
+    # the closed form and the cut oracle are independent routes to alpha_min
+    def refuse(*args, **kwargs):
+        raise AssertionError("tradeoff reached cutflow.cut_terms")
+
+    assert not any(
+        value is cutflow or getattr(value, "__module__", None) == cutflow.__name__
+        for value in vars(tradeoff).values()
+    )
+    monkeypatch.setattr(cutflow, "cut_terms", refuse)
+    for params in SWEEP + RATIONAL:
+        curve = tradeoff_curve(params)
+        assert gmsr_point(params).beta2 == curve.segments[-1].beta2_lo
+        assert gmbr_point(params).beta2 == curve.beta2_min == beta2_min(params)
+        for beta2 in curve.breakpoints():
+            assert operating_point(params, beta2).alpha == alpha_min(params, beta2) == curve.alpha_at(beta2)
 
 
 # ---------------------------------------------------------------------------
