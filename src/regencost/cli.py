@@ -45,6 +45,17 @@ _CONFIG_KEYS = {
     "cost_expensive": "cost_expensive",
 }
 
+_FLAG_FIELDS = (
+    ("n", "n"),
+    ("k", "k"),
+    ("d1", "d1"),
+    ("d2", "d2"),
+    ("kprime", "kprime"),
+    ("M", "file_size"),
+    ("c1", "cost_cheap"),
+    ("c2", "cost_expensive"),
+)
+
 _FIGURE_KPRIMES = range(1, 21)
 
 
@@ -79,16 +90,7 @@ def _params_from_args(args: argparse.Namespace) -> SystemParams:
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
             values[_CONFIG_KEYS[key]] = value
-    for flag, canon in (
-        ("n", "n"),
-        ("k", "k"),
-        ("d1", "d1"),
-        ("d2", "d2"),
-        ("kprime", "kprime"),
-        ("M", "file_size"),
-        ("c1", "cost_cheap"),
-        ("c2", "cost_expensive"),
-    ):
+    for flag, canon in _FLAG_FIELDS:
         value = getattr(args, flag)
         if value is not None:
             values[canon] = value
@@ -286,8 +288,23 @@ def _report_payload(report: cutflow.CutReport) -> dict[str, object]:
     }
 
 
+def _sweep_reproducer(params: SystemParams, beta2: Fraction) -> str:
+    return (
+        f"regencost verify --k {params.k} --d1 {params.d1} --d2 {params.d2} "
+        f"--kprime {_exact(params.kprime)} --beta2 {_exact(beta2)}"
+    )
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.sweep:
+        flags = ("config", *(flag for flag, _ in _FLAG_FIELDS))
+        ignored = [f"--{flag}" for flag in flags if getattr(args, flag) is not None]
+        if args.beta2:
+            ignored.append("--beta2")
+        if ignored:
+            raise ValueError(
+                f"--sweep takes no {', '.join(ignored)}: it checks its own configs and beta2 grids"
+            )
         configs = 0
         points = 0
         mismatches: list[tuple[SystemParams, cutflow.CutReport]] = []
@@ -322,7 +339,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             for p, r in mismatches:
                 print(
                     f"MISMATCH k={p.k} d1={p.d1} d2={p.d2} kprime={_exact(p.kprime)} "
-                    f"beta2={_exact(r.beta2)} closed={_exact(r.alpha_closed)} oracle={_exact(r.alpha_oracle)}"
+                    f"beta2={_exact(r.beta2)} closed={_exact(r.alpha_closed)} oracle={_exact(r.alpha_oracle)} "
+                    f"maxflow={_exact(r.maxflow_at_alpha)} | reproduce: {_sweep_reproducer(p, r.beta2)}"
                 )
             print(f"configs={configs} points={points} mismatches={len(mismatches)}")
         return 0 if not mismatches else 1

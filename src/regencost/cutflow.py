@@ -13,7 +13,8 @@ three independent ways:
 * exact max flow on the explicitly built worst-case graph.
 
 All capacities stay rational; max flow runs on integer-scaled capacities
-so the comparisons are exact, never approximate.
+so the comparisons are exact, never approximate.  The solve is networkx's
+Edmonds-Karp on the graph with terminal-adjacent unbounded edges merged.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from random import Random
 from typing import Iterable, Iterator, Sequence
 
 import networkx as nx
+from networkx.algorithms.flow import edmonds_karp
 
 from . import tradeoff
 from .errors import (
@@ -179,31 +181,54 @@ def build_gstar(params: SystemParams, alpha: RationalLike, beta2: RationalLike) 
 
 
 def max_flow(graph: FlowGraph) -> Fraction:
-    """Exact max flow: scale capacities to integers, run networkx, scale back."""
+    """Exact max flow: scale capacities to integers, merge the terminals, run networkx.
+
+    A node fed by an unbounded edge from the source lies on the source side
+    of every finite cut, and a node read over an unbounded edge by the sink
+    lies on the sink side, so each is merged into its terminal (the source
+    wins a node joined to both).  Self-loops, edges into the source and
+    edges out of the sink cross no cut and are dropped.  Every finite cut
+    keeps its capacity, so the value is unchanged whenever it is finite;
+    remaining unbounded edges get a capacity above all finite ones
+    together.  Edmonds-Karp is strongly polynomial, so the size of the
+    integer scale does not slow it down.
+    """
+    source, sink = graph.source, graph.sink
     scale = math.lcm(
         1, *(edge.capacity.denominator for edge in graph.edges if edge.capacity is not None)
     )
+    side: dict[str, str] = {}
+    for edge in graph.edges:
+        if edge.capacity is None:
+            if edge.tail == source and edge.head not in (source, sink):
+                side[edge.head] = source
+            elif edge.head == sink and edge.tail not in (source, sink):
+                side.setdefault(edge.tail, sink)
     capacities: dict[tuple[str, str], int] = {}
     finite_total = 0
     unbounded: list[tuple[str, str]] = []
     for edge in graph.edges:
-        key = (edge.tail, edge.head)
+        if edge.capacity is not None:
+            scaled = edge.capacity.numerator * (scale // edge.capacity.denominator)
+            finite_total += scaled
+        tail = side.get(edge.tail, edge.tail)
+        head = side.get(edge.head, edge.head)
+        if tail == head or head == source or tail == sink:
+            continue
+        key = (tail, head)
         if edge.capacity is None:
             unbounded.append(key)
-            capacities.setdefault(key, 0)
         else:
-            scaled = edge.capacity.numerator * (scale // edge.capacity.denominator)
             capacities[key] = capacities.get(key, 0) + scaled
-            finite_total += scaled
     bound = 1 + finite_total  # exceeds any cut made of finite edges
     for key in unbounded:
         capacities[key] = bound
     digraph = nx.DiGraph()
-    digraph.add_node(graph.source)
-    digraph.add_node(graph.sink)
-    for (tail, head), capacity in capacities.items():
-        digraph.add_edge(tail, head, capacity=capacity)
-    value = nx.maximum_flow_value(digraph, graph.source, graph.sink)
+    digraph.add_nodes_from((source, sink))
+    digraph.add_edges_from(
+        (tail, head, {"capacity": capacity}) for (tail, head), capacity in capacities.items()
+    )
+    value = nx.maximum_flow_value(digraph, source, sink, flow_func=edmonds_karp)
     return Fraction(value, scale)
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import regencost.cutflow
 import regencost.tradeoff
 from regencost.cli import main
 
@@ -267,6 +268,57 @@ def test_verify_sweep_over_no_configs_is_an_error(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: NonPositive: ")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--M", "0"],
+        ["--beta2", "1/2"],
+        ["--config", "params.json"],
+        ["--n", "4"],
+        ["--k", "2"],
+        ["--d1", "1"],
+        ["--d2", "1"],
+        ["--kprime", "2"],
+        ["--c1", "1"],
+        ["--c2", "3"],
+    ],
+)
+def test_verify_sweep_rejects_system_parameter_flags(flags, capsys):
+    code, out, err = run_cli(["verify", "--sweep", "--max-k", "2", "--max-d", "2", *flags], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: Usage: --sweep takes no " + flags[0])
+
+
+def test_verify_sweep_mismatch_prints_maxflow_and_reproducer(capsys, monkeypatch):
+    real = regencost.cutflow.verify_closed_form
+    seen = []
+
+    def first_config_fails(params, beta2_grid=None):
+        seen.append(params)
+        if len(seen) > 1:
+            return real(params, beta2_grid)
+        return [regencost.cutflow.CutReport(F(3, 20), F(1), F(11, 20), F(6, 5), False, False)]
+
+    monkeypatch.setattr(regencost.cutflow, "verify_closed_form", first_config_fails)
+    code, out, _ = run_cli(["verify", "--sweep", "--max-k", "2", "--max-d", "3"], capsys)
+    assert code == 1
+    first = seen[0]
+    mismatch, summary = out.splitlines()
+    assert mismatch == (
+        f"MISMATCH k={first.k} d1={first.d1} d2={first.d2} kprime={first.kprime} "
+        "beta2=3/20 closed=1 oracle=11/20 maxflow=6/5 | reproduce: "
+        f"regencost verify --k {first.k} --d1 {first.d1} --d2 {first.d2} --kprime {first.kprime} --beta2 3/20"
+    )
+    assert summary.startswith("configs=64 ") and summary.endswith(" mismatches=1")
+    # the reproducer runs the same config at the same beta2
+    monkeypatch.undo()
+    argv = mismatch.split(" | reproduce: regencost ")[1].split()
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out.splitlines()[0].startswith("beta2=3/20 ")
 
 
 # ---------------------------------------------------------------------------

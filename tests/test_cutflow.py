@@ -1,9 +1,13 @@
 import hashlib
+import math
 import re
 from fractions import Fraction
 from random import Random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_params
 from regencost import (
@@ -32,13 +36,15 @@ from regencost.cutflow import (
 F = Fraction
 
 A_SMALL = make_params(2, 2, 1, kprime=2)
+CONFIG_A = make_params(5, 8, 6, kprime=2, n=15)
+CONFIG_B = make_params(5, 4, 10, kprime=2, n=15)
 B_SMALL = make_params(3, 1, 2, kprime=2)
 
 SAMPLE_CONFIGS = [
     A_SMALL,
     B_SMALL,
-    make_params(5, 8, 6, kprime=2, n=15),
-    make_params(5, 4, 10, kprime=2, n=15),
+    CONFIG_A,
+    CONFIG_B,
     make_params(3, 0, 4, kprime=3),  # no cheap tier
     make_params(3, 5, 0, kprime=2),  # no expensive tier
     make_params(1, 1, 1, kprime=4),  # single collector read
@@ -203,6 +209,93 @@ def test_max_flow_sums_parallel_edges():
     assert max_flow(graph) == F(1, 2)
 
 
+def _reference_max_flow(graph):
+    """The plain solve: every edge kept, integer-scaled, default networkx max flow."""
+    scale = math.lcm(1, *(e.capacity.denominator for e in graph.edges if e.capacity is not None))
+    capacities = {}
+    for edge in graph.edges:
+        if edge.capacity is not None:
+            key = (edge.tail, edge.head)
+            capacities[key] = capacities.get(key, 0) + edge.capacity.numerator * (scale // edge.capacity.denominator)
+    bound = 1 + sum(capacities.values())
+    capacities.update(dict.fromkeys(((e.tail, e.head) for e in graph.edges if e.capacity is None), bound))
+    digraph = nx.DiGraph()
+    digraph.add_nodes_from((graph.source, graph.sink))
+    digraph.add_edges_from((tail, head, {"capacity": capacity}) for (tail, head), capacity in capacities.items())
+    return Fraction(nx.maximum_flow_value(digraph, graph.source, graph.sink), scale)
+
+
+def _finite_total(graph):
+    return sum(edge.capacity for edge in graph.edges if edge.capacity is not None)
+
+
+def _graph(*edges):
+    names = sorted({name for tail, head, _ in edges for name in (tail, head)} - {"S", "DC"})
+    return FlowGraph(
+        nodes=(("S", "source"), ("DC", "dc"), *((name, "storage_in") for name in names)),
+        edges=tuple(FlowEdge(tail, head, capacity) for tail, head, capacity in edges),
+    )
+
+
+def test_max_flow_matches_reference_on_gstar_sweep():
+    for params in verification_sweep(max_k=4, max_d=6):
+        for b2 in default_beta2_grid(params):
+            try:
+                alpha = alpha_min(params, b2)
+            except InsufficientRepairBandwidthError:
+                alpha = sum(cut_terms(params, b2)) + 1
+            graph = build_gstar(params, alpha, b2)
+            assert max_flow(graph) == _reference_max_flow(graph), (params, b2)
+
+
+def test_max_flow_matches_reference_on_random_histories():
+    rng = Random(2024)
+    for index in range(200):
+        params = (CONFIG_A, CONFIG_B)[index % 2]
+        b2 = beta2_min(params) * Fraction(rng.randint(100, 300), 100)
+        graph = random_history_graph(
+            params, alpha_min(params, b2), b2, Random(rng.getrandbits(32)), rng.randint(0, 3 * params.n)
+        )
+        assert max_flow(graph) == _reference_max_flow(graph), index
+
+
+_NODES = ("S", "DC", "a", "b", "c", "d")
+_CAPACITIES = st.one_of(
+    st.none(), st.just(Fraction(0)), st.fractions(min_value=0, max_value=3, max_denominator=6)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_NODES), st.sampled_from(_NODES), _CAPACITIES), max_size=14))
+def test_max_flow_matches_reference_on_random_graphs(edges):
+    # unbounded edges, parallel edges, self-loops, edges into S and out of DC all occur
+    graph = _graph(*edges)
+    reference = _reference_max_flow(graph)
+    if reference <= _finite_total(graph):
+        assert max_flow(graph) == reference
+    else:  # an all-unbounded path: both values only need to exceed every finite cut
+        assert max_flow(graph) > _finite_total(graph)
+
+
+def test_max_flow_unbounded_path_exceeds_every_finite_capacity():
+    graph = _graph(("S", "v", None), ("v", "DC", None), ("S", "w", F(1, 3)), ("w", "DC", F(1, 2)))
+    assert max_flow(graph) > _finite_total(graph) == F(5, 6)
+
+
+def test_max_flow_inner_unbounded_edge_keeps_the_bound_rule():
+    # u and w merge into S and DC; u->w is left as an S->DC edge of capacity 1 + finite total
+    graph = _graph(("S", "u", None), ("u", "w", None), ("w", "DC", None), ("a", "b", F(1, 3)))
+    assert max_flow(graph) == _reference_max_flow(graph) == F(2, 3)
+    # an inner unbounded edge between finite edges is not a bottleneck
+    graph = _graph(("S", "u", F(1, 2)), ("u", "w", None), ("w", "DC", F(1, 3)))
+    assert max_flow(graph) == F(1, 3)
+
+
+def test_max_flow_of_empty_graphs_is_zero():
+    assert max_flow(_graph()) == 0
+    assert max_flow(_graph(("S", "a", None), ("b", "DC", None))) == 0
+
+
 def test_edge_list_rendering():
     graph = build_gstar(A_SMALL, F(11, 20), F(3, 20))
     lines = to_edge_list(graph).splitlines()
@@ -324,12 +417,15 @@ def test_random_history_tier_pinning():
 
 
 def test_random_history_edge_lists_match_frozen_digest():
-    # configs A and B at twice beta2_min, frozen so a change of the drawn histories shows
+    # configs A and B at twice beta2_min, frozen so a change of the drawn histories shows;
+    # hashed after solving, since max_flow must leave its graph untouched
     lists = []
-    for d1, d2 in ((8, 6), (4, 10)):
-        params = make_params(5, d1, d2, kprime=2, n=15)
+    for params in (CONFIG_A, CONFIG_B):
         b2 = 2 * beta2_min(params)
         graph = random_history_graph(params, alpha_min(params, b2), b2, Random(5), failures=30)
-        lists.append(to_edge_list(graph))
+        before = to_edge_list(graph)
+        assert max_flow(graph) >= params.file_size
+        assert to_edge_list(graph) == before
+        lists.append(before)
     digest = hashlib.sha256("\n".join(lists).encode()).hexdigest()
     assert digest == "6ea67e705e7ad8d23b41dd3b4473bb625cea9384fa0345030b3ea6ec5ab1ad0c"
