@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import heapq
 import json
 import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from itertools import groupby
 from pathlib import Path
 from typing import Sequence
 
@@ -57,6 +59,9 @@ _FLAG_FIELDS = (
 )
 
 _FIGURE_KPRIMES = range(1, 21)
+
+# largest curve --samples; the grid is built in memory before any row prints
+_MAX_SAMPLES = 100_000
 
 
 def _exact(value: Fraction | None) -> str:
@@ -155,33 +160,34 @@ _CURVE_HEADER = [
 
 def _curve_rows(params: SystemParams, samples: int, breakpoints_only: bool) -> list[list[str]]:
     curve = tradeoff.tradeoff_curve(params)
+    breakpoints = curve.breakpoints()
     if breakpoints_only:
-        points = curve.breakpoints()
+        grid = breakpoints
     else:
         if samples < 2:
             raise ValueError(f"--samples must be at least 2, got {samples}")
+        if samples > _MAX_SAMPLES:
+            raise ValueError(f"--samples must be at most {_MAX_SAMPLES}, got {samples}")
         low = curve.beta2_min
         high = curve.segments[-1].beta2_lo * Fraction(3, 2)
         step = (high - low) / (samples - 1)
-        points = sorted({low + step * i for i in range(samples)} | set(curve.breakpoints()))
-    rows = []
-    for beta2 in points:
-        point = tradeoff.operating_point(params, beta2)
-        rows.append(
-            [
-                _exact(point.beta2),
-                _decimal(point.beta2),
-                _exact(point.beta1),
-                _decimal(point.beta1),
-                _exact(point.alpha),
-                _decimal(point.alpha),
-                _exact(point.gamma),
-                _decimal(point.gamma),
-                _exact(point.cost),
-                _decimal(point.cost),
-            ]
-        )
-    return rows
+        samples_grid = [low + step * i for i in range(samples)]
+        grid = [beta2 for beta2, _ in groupby(heapq.merge(samples_grid, breakpoints))]
+    return [
+        [
+            _exact(point.beta2),
+            _decimal(point.beta2),
+            _exact(point.beta1),
+            _decimal(point.beta1),
+            _exact(point.alpha),
+            _decimal(point.alpha),
+            _exact(point.gamma),
+            _decimal(point.gamma),
+            _exact(point.cost),
+            _decimal(point.cost),
+        ]
+        for point in curve.points(grid)
+    ]
 
 
 def cmd_curve(args: argparse.Namespace) -> int:

@@ -15,7 +15,6 @@ tolerances.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -143,14 +142,6 @@ def validate_params(
         cost_cheap=as_fraction(cost_cheap, "cost_cheap"),
         cost_expensive=as_fraction(cost_expensive, "cost_expensive"),
     )
-
-
-def classify_scenario(params: SystemParams) -> Scenario:
-    """Deprecated alias of ``params.scenario``."""
-    warnings.warn(
-        "classify_scenario is deprecated; use SystemParams.scenario", DeprecationWarning, stacklevel=2
-    )
-    return params.scenario
 
 
 def repair_history(

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import (
     DegenerateConfigurationError,
@@ -109,17 +110,11 @@ def breakpoint_b1(params: SystemParams, i: int) -> Fraction:
 
 
 def breakpoint_b2(params: SystemParams, i: int) -> Fraction:
-    """Scenario B lower-range boundary i, for i in -1..d1-1.
-
-    Index -1 is the seam with the upper range and aliases
-    ``breakpoint_b1(params, k - d1 - 1)``.
-    """
+    """Scenario B lower-range boundary i, for i in 0..d1-1."""
     _require(params, Scenario.B)
     k, d, d1, kp = params.k, params.d, params.d1, params.kprime
-    if i == -1:
-        return breakpoint_b1(params, k - d1 - 1)
     if not 0 <= i <= d1 - 1:
-        raise IndexOutOfRangeError(f"branch index must be in -1..{d1 - 1}, got {i}")
+        raise IndexOutOfRangeError(f"branch index must be in 0..{d1 - 1}, got {i}")
     den = (2 * k * d - k * k - d1 * d1 - d1 + k + 2 * d1 * kp) + i * kp * (2 * d1 - i - 1)
     return 2 * params.file_size / den
 
@@ -386,6 +381,45 @@ class TradeoffCurve:
 
     def point_at(self, beta2: RationalLike) -> CodePoint:
         return operating_point(self.params, beta2)
+
+    def points(self, beta2s: Iterable[RationalLike]) -> list[CodePoint]:
+        """``operating_point`` at each beta2, in input order, from one walk over the segments.
+
+        The walk advances while the next segment starts at or below beta2,
+        and restarts from the first segment when beta2 lies below the
+        current one, so ascending input takes one pass and any order stays
+        correct.  The first point of each visit to a segment comes from
+        ``operating_point``; the rest are read off the segment's line.
+        """
+        params, segments = self.params, self.segments
+        kprime, gamma_per_beta2 = params.kprime, params.gamma_per_beta2
+        cost_per_beta2 = params.cost_cheap * params.d1 * kprime + params.cost_expensive * params.d2
+        last = len(segments) - 1
+        index, visited = 0, None
+        result = []
+        for beta2 in beta2s:
+            b2 = _checked_beta2(beta2)
+            if b2 < segments[index].beta2_lo:
+                index = 0
+                if b2 < self.beta2_min:
+                    raise InsufficientRepairBandwidthError(
+                        f"beta2={b2} is below the feasibility threshold {self.beta2_min}"
+                    )
+            while index < last and segments[index + 1].beta2_lo <= b2:
+                index += 1
+            if index == visited:
+                point = CodePoint(
+                    alpha=segments[index].alpha_at(b2),
+                    beta1=kprime * b2,
+                    beta2=b2,
+                    gamma=gamma_per_beta2 * b2,
+                    cost=cost_per_beta2 * b2,
+                )
+            else:
+                visited = index
+                point = operating_point(params, b2)
+            result.append(point)
+        return result
 
 
 def tradeoff_curve(params: SystemParams) -> TradeoffCurve:

@@ -7,7 +7,7 @@ import pytest
 
 import regencost.cutflow
 import regencost.tradeoff
-from regencost.cli import main
+from regencost.cli import _MAX_SAMPLES, main
 
 F = Fraction
 
@@ -138,6 +138,15 @@ def test_curve_rejects_tiny_sample_counts(capsys):
         assert code == 2
         assert out == ""
         assert "--samples" in err
+
+
+def test_curve_rejects_sample_counts_above_the_cap(capsys):
+    # the cap is checked before the grid is built, so one past it fails at once
+    flags = ["curve", "--samples", str(_MAX_SAMPLES + 1), "--k", "2", "--d1", "1", "--d2", "1"]
+    code, out, err = run_cli(flags, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: Usage: --samples must be at most {_MAX_SAMPLES}, got {_MAX_SAMPLES + 1}\n"
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,6 @@ from regencost import (
     NonPositiveError,
     Scenario,
     as_fraction,
-    classify_scenario,
     repair_bandwidth,
     total_cost,
     validate_params,
@@ -23,8 +22,6 @@ from regencost.params import repair_history
 def test_scenario_a_when_cheap_tier_alone_can_rebuild():
     params = validate_params(15, 5, 8, 6, kprime=2)
     assert params.scenario is Scenario.A
-    with pytest.warns(DeprecationWarning, match="SystemParams.scenario"):
-        assert classify_scenario(params) is Scenario.A
     assert params.d == 14
 
 

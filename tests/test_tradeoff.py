@@ -1,4 +1,5 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -88,7 +89,8 @@ def test_breakpoints_scenario_b_values():
     assert breakpoint_b1(B_SMALL, 0) == F(1, 3)
     assert breakpoint_b1(B_SMALL, 1) == F(1, 5)
     assert breakpoint_b2(B_SMALL, 0) == F(1, 7)
-    assert breakpoint_b2(B_SMALL, -1) == breakpoint_b1(B_SMALL, 1)
+    with pytest.raises(IndexOutOfRangeError):
+        breakpoint_b2(B_SMALL, -1)
 
 
 def test_breakpoints_reduce_to_symmetric_form_at_kprime_one():
@@ -450,6 +452,56 @@ def test_curve_refuses_points_below_feasibility():
     curve = tradeoff_curve(A_SMALL)
     with pytest.raises(InsufficientRepairBandwidthError):
         curve.alpha_at(F(1, 10))
+
+
+def _grid_with_breakpoints(curve, samples):
+    low, high = curve.beta2_min, curve.segments[-1].beta2_lo * 2
+    step = (high - low) / (samples - 1)
+    return sorted({low + step * i for i in range(samples)} | set(curve.breakpoints()))
+
+
+POINTS_CONFIGS = SWEEP + [
+    make_params(k, d1, d2, kprime=kprime, file_size=F(7, 3), cost_expensive=3)
+    for kprime in (F(3, 2), F(13, 4))
+    for k, d1, d2 in ((3, 4, 2), (4, 1, 5), (4, 0, 6), (2, 1, 1))
+]
+
+
+def test_curve_points_match_operating_point():
+    for params in POINTS_CONFIGS:
+        curve = tradeoff_curve(params)
+        grid = _grid_with_breakpoints(curve, 50)
+        assert curve.points(grid) == [operating_point(params, b) for b in grid]
+
+
+def test_curve_points_keep_input_order():
+    rng = Random(7)
+    for params in (A_WIDE, B_WIDE, *RATIONAL):
+        curve = tradeoff_curve(params)
+        grid = _grid_with_breakpoints(curve, 20)
+        expected = [operating_point(params, b) for b in grid]
+        assert curve.points(grid[::-1]) == expected[::-1]
+        order = list(range(len(grid)))
+        rng.shuffle(order)
+        assert curve.points([grid[i] for i in order]) == [expected[i] for i in order]
+
+
+def test_curve_points_call_operating_point_once_per_segment(monkeypatch):
+    calls = []
+    real = tradeoff.operating_point
+    monkeypatch.setattr(tradeoff, "operating_point", lambda p, b: calls.append(b) or real(p, b))
+    curve = tradeoff_curve(A_WIDE)
+    curve.points(_grid_with_breakpoints(curve, 50))
+    assert calls == curve.breakpoints()
+
+
+def test_curve_points_validate_each_beta2():
+    curve = tradeoff_curve(A_SMALL)
+    assert curve.points([]) == []
+    with pytest.raises(InsufficientRepairBandwidthError, match="below the feasibility threshold 1/8"):
+        curve.points([F(1, 5), F(1, 10)])
+    with pytest.raises(NonPositiveError):
+        curve.points([F(1, 5), -1])
 
 
 def test_operating_point_is_consistent():
