@@ -14,7 +14,9 @@ three independent ways:
 
 All capacities stay rational; max flow runs on integer-scaled capacities
 so the comparisons are exact, never approximate.  The solve is networkx's
-Edmonds-Karp on the graph with terminal-adjacent unbounded edges merged.
+Edmonds-Karp on the graph with terminal-adjacent unbounded edges merged,
+on a residual network built here and pruned to the nodes that reach the
+collector.
 """
 
 from __future__ import annotations
@@ -192,6 +194,12 @@ def max_flow(graph: FlowGraph) -> Fraction:
     remaining unbounded edges get a capacity above all finite ones
     together.  Edmonds-Karp is strongly polynomial, so the size of the
     integer scale does not slow it down.
+
+    The residual network Edmonds-Karp runs on is built here and passed as
+    ``residual=``, so networkx copies no graph.  It holds only the
+    positive-capacity pairs whose head can reach the sink: flow into a
+    node that cannot reach the sink has nowhere to go, so dropping those
+    pairs leaves the value as it is.
     """
     source, sink = graph.source, graph.sink
     scale = math.lcm(
@@ -223,12 +231,37 @@ def max_flow(graph: FlowGraph) -> Fraction:
     bound = 1 + finite_total  # exceeds any cut made of finite edges
     for key in unbounded:
         capacities[key] = bound
-    digraph = nx.DiGraph()
-    digraph.add_nodes_from((source, sink))
-    digraph.add_edges_from(
-        (tail, head, {"capacity": capacity}) for (tail, head), capacity in capacities.items()
+    tails_into: dict[str, list[str]] = {}
+    for (tail, head), capacity in capacities.items():
+        if capacity > 0:
+            tails_into.setdefault(head, []).append(tail)
+    reaches_sink = {sink}
+    stack = [sink]
+    while stack:
+        for tail in tails_into.get(stack.pop(), ()):
+            if tail not in reaches_sink:
+                reaches_sink.add(tail)
+                stack.append(tail)
+    kept = {
+        key: capacity
+        for key, capacity in capacities.items()
+        if capacity > 0 and key[1] in reaches_sink
+    }
+    # Edmonds-Karp's residual network, built directly: each pair beside its reverse,
+    # which has capacity 0 unless it is a pair of its own
+    residual = nx.DiGraph()
+    residual.add_nodes_from((source, sink))
+    residual.add_edges_from(
+        (tail, head, {"capacity": capacity}) for (tail, head), capacity in kept.items()
     )
-    value = nx.maximum_flow_value(digraph, source, sink, flow_func=edmonds_karp)
+    residual.add_edges_from(
+        (head, tail, {"capacity": 0}) for tail, head in kept if (head, tail) not in kept
+    )
+    # networkx's stand-in for an infinite capacity; no augmenting path can carry half of it
+    residual.graph["inf"] = 3 * sum(kept.values()) or 1
+    value = nx.maximum_flow_value(
+        residual, source, sink, flow_func=edmonds_karp, residual=residual
+    )
     return Fraction(value, scale)
 
 

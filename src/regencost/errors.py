@@ -67,6 +67,12 @@ class NonIntegerDownloadError(RegenError, ValueError):
     code = "NonIntegerDownload"
 
 
+class InvalidChoiceError(RegenError, ValueError):
+    """A string option names none of the values it may take."""
+
+    code = "InvalidChoice"
+
+
 class UnknownNodeError(RegenError, KeyError):
     """A node id does not exist in the current state."""
 

@@ -20,6 +20,7 @@ from typing import Sequence, Union
 
 from .errors import (
     InsufficientHelpersError,
+    InvalidChoiceError,
     NonIntegerDownloadError,
     NonPositiveError,
     UnknownNodeError,
@@ -186,7 +187,7 @@ def make_field(name: str) -> Field:
         return GF256
     if name.startswith("p") and name[1:].isdigit():
         return PrimeField(int(name[1:]))
-    raise ValueError(f"unknown field {name!r}")
+    raise InvalidChoiceError(f"unknown field {name!r}")
 
 
 def matrix_rank(rows: Sequence[Sequence[int]], field: Field) -> int:
@@ -364,7 +365,7 @@ def run_trial(
     if field is None:
         field = GF256
     if helper_mode not in ("uniform", "worst-case"):
-        raise ValueError(f"helper_mode must be 'uniform' or 'worst-case', got {helper_mode!r}")
+        raise InvalidChoiceError(f"helper_mode must be 'uniform' or 'worst-case', got {helper_mode!r}")
     if params.kprime.denominator != 1:
         raise NonIntegerDownloadError(
             f"simulation needs an integer kprime, got {params.kprime}"

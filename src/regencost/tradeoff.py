@@ -25,6 +25,7 @@ from .errors import (
     DegenerateConfigurationError,
     IndexOutOfRangeError,
     InsufficientRepairBandwidthError,
+    InvalidChoiceError,
     InvalidDegreeError,
     NonPositiveError,
     NotApplicableError,
@@ -44,7 +45,7 @@ _POINT_KINDS = ("msr", "mbr")
 
 def _check_kind(kind: str) -> str:
     if kind not in _POINT_KINDS:
-        raise ValueError(f"kind must be one of {_POINT_KINDS}, got {kind!r}")
+        raise InvalidChoiceError(f"kind must be one of {_POINT_KINDS}, got {kind!r}")
     return kind
 
 
@@ -223,7 +224,7 @@ def grc_limit_point(params: SystemParams, kind: str) -> CodePoint:
     helpers.  kind is "gmsr" or "gmbr".
     """
     if kind not in ("gmsr", "gmbr"):
-        raise ValueError(f"kind must be 'gmsr' or 'gmbr', got {kind!r}")
+        raise InvalidChoiceError(f"kind must be 'gmsr' or 'gmbr', got {kind!r}")
     if params.scenario is not Scenario.A:
         raise NotApplicableError("the kprime -> infinity limit is finite only when d1 >= k")
     M, k, d1 = params.file_size, params.k, params.d1
@@ -378,9 +379,6 @@ class TradeoffCurve:
     def breakpoints(self) -> list[Fraction]:
         """Left endpoints of every segment, ascending; the first is beta2_min."""
         return [segment.beta2_lo for segment in self.segments]
-
-    def point_at(self, beta2: RationalLike) -> CodePoint:
-        return operating_point(self.params, beta2)
 
     def points(self, beta2s: Iterable[RationalLike]) -> list[CodePoint]:
         """``operating_point`` at each beta2, in input order, from one walk over the segments.

@@ -1,10 +1,12 @@
 import hashlib
 import math
 import re
+import types
 from fractions import Fraction
 from random import Random
 
 import networkx as nx
+import networkx.algorithms.flow.edmondskarp as edmondskarp_module
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from regencost import (
     beta2_min,
     tradeoff_curve,
 )
+from regencost import cutflow
 from regencost.cutflow import (
     FlowEdge,
     FlowGraph,
@@ -237,25 +240,34 @@ def _graph(*edges):
     )
 
 
-def test_max_flow_matches_reference_on_gstar_sweep():
-    for params in verification_sweep(max_k=4, max_d=6):
+def _gstar_sweep_graphs(**sweep):
+    """G* at alpha_min on each default grid point, or above every cut term where infeasible."""
+    for params in verification_sweep(**sweep):
         for b2 in default_beta2_grid(params):
             try:
                 alpha = alpha_min(params, b2)
             except InsufficientRepairBandwidthError:
                 alpha = sum(cut_terms(params, b2)) + 1
-            graph = build_gstar(params, alpha, b2)
-            assert max_flow(graph) == _reference_max_flow(graph), (params, b2)
+            yield (params, b2), build_gstar(params, alpha, b2)
+
+
+def _history_graphs(seed, count):
+    rng = Random(seed)
+    for index in range(count):
+        params = (CONFIG_A, CONFIG_B)[index % 2]
+        b2 = beta2_min(params) * Fraction(rng.randint(100, 300), 100)
+        yield index, random_history_graph(
+            params, alpha_min(params, b2), b2, Random(rng.getrandbits(32)), rng.randint(0, 3 * params.n)
+        )
+
+
+def test_max_flow_matches_reference_on_gstar_sweep():
+    for where, graph in _gstar_sweep_graphs(max_k=4, max_d=6):
+        assert max_flow(graph) == _reference_max_flow(graph), where
 
 
 def test_max_flow_matches_reference_on_random_histories():
-    rng = Random(2024)
-    for index in range(200):
-        params = (CONFIG_A, CONFIG_B)[index % 2]
-        b2 = beta2_min(params) * Fraction(rng.randint(100, 300), 100)
-        graph = random_history_graph(
-            params, alpha_min(params, b2), b2, Random(rng.getrandbits(32)), rng.randint(0, 3 * params.n)
-        )
+    for index, graph in _history_graphs(2024, 200):
         assert max_flow(graph) == _reference_max_flow(graph), index
 
 
@@ -294,6 +306,101 @@ def test_max_flow_inner_unbounded_edge_keeps_the_bound_rule():
 def test_max_flow_of_empty_graphs_is_zero():
     assert max_flow(_graph()) == 0
     assert max_flow(_graph(("S", "a", None), ("b", "DC", None))) == 0
+
+
+def test_max_flow_never_asks_networkx_for_a_residual_network(monkeypatch):
+    graphs = [
+        graph
+        for _, graph in (*_gstar_sweep_graphs(max_k=4, max_d=5, kprimes=(1, 3)), *_history_graphs(77, 40))
+    ]
+    expected = [_reference_max_flow(graph) for graph in graphs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("max_flow must pass its own residual network")
+
+    monkeypatch.setattr(edmondskarp_module, "build_residual_network", refuse)
+    assert [max_flow(graph) for graph in graphs] == expected
+
+
+def _solves(monkeypatch):
+    """Record the residual network of each networkx solve that max_flow makes."""
+    residuals = []
+    solve = nx.maximum_flow_value
+
+    def recording(graph, *args, **kwargs):
+        residuals.append(graph)
+        return solve(graph, *args, **kwargs)
+
+    monkeypatch.setattr(nx, "maximum_flow_value", recording)
+    return residuals
+
+
+def test_max_flow_prunes_a_heavy_branch_that_cannot_reach_the_collector(monkeypatch):
+    # a and b are fed from the source with far more than the live path carries, but their
+    # only way on is a zero-capacity pair; c is live yet also feeds the dead d
+    graph = _graph(
+        ("S", "a", None),
+        ("a", "b", F(1000)),
+        ("S", "b", F(500, 3)),
+        ("b", "c", F(0)),
+        ("S", "c", F(1, 3)),
+        ("c", "d", F(700)),
+        ("d", "e", F(700)),
+        ("c", "DC", F(1, 2)),
+    )
+    expected = _reference_max_flow(graph)
+    residuals = _solves(monkeypatch)
+    assert max_flow(graph) == expected == F(1, 3)
+    (residual,) = residuals
+    assert set(residual) == {"S", "c", "DC"}
+    assert {(u, v): data["capacity"] for u, v, data in residual.edges(data=True)} == {
+        ("S", "c"): 2, ("c", "S"): 0, ("c", "DC"): 3, ("DC", "c"): 0
+    }
+
+
+def test_max_flow_with_zero_capacity_and_antiparallel_pairs(monkeypatch):
+    graph = _graph(
+        ("S", "a", F(1)),
+        ("a", "b", F(2, 3)),
+        ("b", "a", F(1, 2)),
+        ("a", "c", F(1, 4)),
+        ("c", "a", F(0)),
+        ("S", "b", F(1, 6)),
+        ("b", "c", F(1, 3)),
+        ("c", "b", F(1, 5)),
+        ("b", "DC", F(1, 2)),
+        ("c", "DC", F(1)),
+        ("S", "c", F(0)),
+    )
+    expected = _reference_max_flow(graph)
+    residuals = _solves(monkeypatch)
+    assert max_flow(graph) == expected
+    (residual,) = residuals
+    capacities = {(u, v): data["capacity"] for u, v, data in residual.edges(data=True)}
+    scale = 60
+    # an antiparallel pair keeps both capacities; a zero pair is only present as a reverse
+    assert capacities[("a", "b")] == 40 and capacities[("b", "a")] == 30
+    assert capacities[("b", "c")] == 20 and capacities[("c", "b")] == 12
+    assert capacities[("a", "c")] == 15 and capacities[("c", "a")] == 0
+    assert ("S", "c") not in capacities and ("c", "S") not in capacities
+    assert residual.graph["inf"] == 3 * scale * sum(
+        F(c) for c in (1, F(2, 3), F(1, 2), F(1, 4), F(1, 6), F(1, 3), F(1, 5), F(1, 2), 1)
+    )
+
+
+def test_max_flow_scales_through_the_module_lcm_once_per_solve(monkeypatch):
+    # the benchmark's scale-size counter replaces cutflow.math.lcm, so the scale must come from it
+    calls = []
+
+    def lcm(*values):
+        calls.append(values)
+        return math.lcm(*values)
+
+    monkeypatch.setattr(cutflow, "math", types.SimpleNamespace(**{**vars(math), "lcm": lcm}))
+    graphs = [graph for _, graph in _history_graphs(77, 6)] + [build_gstar(B_SMALL, F(3, 8), F(1, 4)), _graph()]
+    for graph in graphs:
+        max_flow(graph)
+    assert len(calls) == len(graphs)
 
 
 def test_edge_list_rendering():

@@ -9,6 +9,7 @@ from regencost import rlnc
 from regencost.cutflow import random_history_graph
 from regencost.errors import (
     InsufficientHelpersError,
+    InvalidChoiceError,
     NonIntegerDownloadError,
     NonPositiveError,
     UnknownNodeError,
@@ -109,8 +110,8 @@ def test_make_field():
     assert make_field("gf256") is GF256
     assert make_field("p257").order == 257
     assert make_field("p2").order == 2
-    for name in ("gf16", "257", "p", "p2.5", ""):
-        with pytest.raises(ValueError):
+    for name in ("gf16", "257", "p", "p2.5", "GF256", ""):
+        with pytest.raises(InvalidChoiceError, match="unknown field"):
             make_field(name)
 
 
@@ -433,7 +434,7 @@ def test_run_trial_validation():
         run_trial(GMBR_PARAMS, alpha_sym=5, beta2_sym=1, num_failures=1, seed=0, n_cheap=1)
     with pytest.raises(InsufficientHelpersError):
         run_trial(GMBR_PARAMS, alpha_sym=5, beta2_sym=1, num_failures=1, seed=0, n_cheap=4)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidChoiceError, match="helper_mode"):
         run_trial(GMBR_PARAMS, alpha_sym=5, beta2_sym=1, num_failures=1, seed=0, helper_mode="greedy")
     with pytest.raises(NonPositiveError):
         run_trial(GMBR_PARAMS, alpha_sym=5, beta2_sym=1, num_failures=-1, seed=0)

@@ -8,6 +8,7 @@ from regencost import (
     DegenerateConfigurationError,
     IndexOutOfRangeError,
     InsufficientRepairBandwidthError,
+    InvalidChoiceError,
     InvalidDegreeError,
     NonPositiveError,
     NotApplicableError,
@@ -295,8 +296,10 @@ def test_limit_point_with_d1_equal_k_repairs_from_k_nodes():
 def test_limit_points_not_defined_for_scenario_b():
     with pytest.raises(NotApplicableError):
         grc_limit_point(B_SMALL, "gmsr")
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidChoiceError):
         grc_limit_point(A_SMALL, "msr")
+    with pytest.raises(InvalidChoiceError):  # the kind is checked before the scenario
+        grc_limit_point(B_SMALL, "gmbr-limit")
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +396,16 @@ def test_degenerate_denominators_raise():
 
 
 def test_kind_strings_are_validated():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidChoiceError):
         bandwidth_ratio(A_SMALL, "gmsr")
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidChoiceError):
         cost_threshold(A_SMALL, "MBR")
+    with pytest.raises(InvalidChoiceError):
+        cost_ratio(A_SMALL, "mbr-limit")
+    with pytest.raises(InvalidChoiceError) as info:
+        cost_ratio_limit(A_SMALL, "")
+    assert info.value.code == "InvalidChoice"
+    assert isinstance(info.value, ValueError)  # callers catching ValueError still catch it
 
 
 # ---------------------------------------------------------------------------
