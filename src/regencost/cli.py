@@ -11,21 +11,27 @@ reference figures).
 Exact rationals print as "p/q" next to a 12-significant-digit decimal
 column.  Exit codes: 0 success, 1 verification mismatch, 2 usage or
 validation error.
+
+:func:`main` parses with one parser per process, built on its first call,
+so callers that run many commands in one process (tests, notebooks, the
+benchmark) pay for building it once.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import heapq
 import json
 import os
 import sys
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import groupby
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence, TextIO
 
 from . import cutflow, rlnc, tradeoff
 from .errors import NonPositiveError, NotApplicableError, RegenError
@@ -60,7 +66,7 @@ _FLAG_FIELDS = (
 
 _FIGURE_KPRIMES = range(1, 21)
 
-# largest curve --samples; the grid is built in memory before any row prints
+# largest curve --samples and ratio --kprime-range length; the rows are built in memory before any prints
 _MAX_SAMPLES = 100_000
 
 
@@ -69,7 +75,22 @@ def _exact(value: Fraction | None) -> str:
 
 
 def _decimal(value: Fraction | None) -> str:
-    return "" if value is None else f"{float(value):.12g}"
+    if value is None:
+        return ""
+    try:
+        return f"{float(value):.12g}"
+    except OverflowError:
+        # beyond the float range: round the exact value to 12 digits, printed in the same style
+        with localcontext() as context:
+            context.prec = 12
+            rounded = Decimal(value.numerator) / value.denominator
+        return f"{rounded.normalize():g}"
+
+
+def _write_csv(stream: TextIO, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    writer = csv.writer(stream)
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 def _add_param_args(parser: argparse.ArgumentParser) -> None:
@@ -129,14 +150,14 @@ def _point_for_kind(params: SystemParams, kind: str) -> CodePoint:
 def cmd_point(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
     point = _point_for_kind(params, args.kind)
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["field", "exact", "decimal"])
-    writer.writerow(["kind", args.kind, ""])
-    writer.writerow(["scenario", params.scenario.value, ""])
-    for field in ("alpha", "beta1", "beta2", "gamma", "cost"):
-        value = getattr(point, field)
-        writer.writerow([field, _exact(value), _decimal(value)])
-    writer.writerow(["beta1_exceeds_alpha", str(point.beta1_exceeds_alpha).lower(), ""])
+    values = [(field, getattr(point, field)) for field in ("alpha", "beta1", "beta2", "gamma", "cost")]
+    rows = [
+        ["kind", args.kind, ""],
+        ["scenario", params.scenario.value, ""],
+        *([field, _exact(value), _decimal(value)] for field, value in values),
+        ["beta1_exceeds_alpha", str(point.beta1_exceeds_alpha).lower(), ""],
+    ]
+    _write_csv(sys.stdout, ["field", "exact", "decimal"], rows)
     return 0
 
 
@@ -192,9 +213,7 @@ def _curve_rows(params: SystemParams, samples: int, breakpoints_only: bool) -> l
 
 def cmd_curve(args: argparse.Namespace) -> int:
     rows = _curve_rows(_params_from_args(args), args.samples, args.breakpoints_only)
-    writer = csv.writer(sys.stdout)
-    writer.writerow(_CURVE_HEADER)
-    writer.writerows(rows)
+    _write_csv(sys.stdout, _CURVE_HEADER, rows)
     return 0
 
 
@@ -209,6 +228,8 @@ def _parse_kprime_range(spec: str) -> range:
     start, stop = int(low), int(high)
     if start < 1 or stop < start:
         raise ValueError(f"--kprime-range must satisfy 1 <= low <= high, got {spec!r}")
+    if stop - start + 1 > _MAX_SAMPLES:
+        raise ValueError(f"--kprime-range must span at most {_MAX_SAMPLES} values, got {stop - start + 1}")
     return range(start, stop + 1)
 
 
@@ -250,9 +271,7 @@ def cmd_ratio(args: argparse.Namespace) -> int:
         if params.cost_cheap == 0:
             raise ValueError("give --cost-ratio explicitly when c1 is 0")
         ratios = [params.cost_expensive / params.cost_cheap]
-    writer = csv.writer(sys.stdout)
-    writer.writerow(_RATIO_HEADER)
-    writer.writerows(_ratio_rows(params, args.kind, kprimes, ratios))
+    _write_csv(sys.stdout, _RATIO_HEADER, _ratio_rows(params, args.kind, kprimes, ratios))
     return 0
 
 
@@ -273,9 +292,7 @@ def _threshold_rows(params: SystemParams, kinds: Sequence[str]) -> list[list[str
 def cmd_threshold(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
     kinds = [args.kind] if args.kind else ["msr", "mbr"]
-    writer = csv.writer(sys.stdout)
-    writer.writerow(_THRESHOLD_HEADER)
-    writer.writerows(_threshold_rows(params, kinds))
+    _write_csv(sys.stdout, _THRESHOLD_HEADER, _threshold_rows(params, kinds))
     return 0
 
 
@@ -476,9 +493,7 @@ def cmd_paper_figures(args: argparse.Namespace) -> int:
     def write(name: str, header: list[str], rows: list[list[str]]) -> None:
         path = outdir / name
         with path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            writer.writerows(rows)
+            _write_csv(handle, header, rows)
         written.append(path)
 
     write(
@@ -544,7 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["msr", "mbr", "gmsr", "gmbr", "gmsr-limit", "gmbr-limit"],
     )
     _add_param_args(point)
-    point.set_defaults(func=cmd_point)
 
     curve = sub.add_parser("curve", help="sample the piecewise-linear tradeoff curve")
     curve.add_argument("--samples", type=int, default=200, help="grid points (default 200)")
@@ -552,7 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--breakpoints-only", action="store_true", help="emit only the exact breakpoints"
     )
     _add_param_args(curve)
-    curve.set_defaults(func=cmd_curve)
 
     ratio = sub.add_parser("ratio", help="bandwidth and cost ratios against symmetric repair")
     ratio.add_argument("--kind", required=True, choices=["msr", "mbr"])
@@ -564,12 +577,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="c2/c1 value (rational, repeatable; default taken from --c1/--c2)",
     )
     _add_param_args(ratio)
-    ratio.set_defaults(func=cmd_ratio)
 
     threshold = sub.add_parser("threshold", help="cost ratio where two-tier repair breaks even")
     threshold.add_argument("--kind", choices=["msr", "mbr"], help="default: both kinds")
     _add_param_args(threshold)
-    threshold.set_defaults(func=cmd_threshold)
 
     verify = sub.add_parser("verify", help="check closed forms against oracle and max flow")
     verify.add_argument("--beta2", action="append", default=[], help="grid point (repeatable)")
@@ -578,7 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--max-d", type=int, default=7, help="sweep limit on d1+d2 (default 7)")
     verify.add_argument("--format", choices=["text", "json"], default="text")
     _add_param_args(verify)
-    verify.set_defaults(func=cmd_verify)
 
     simulate = sub.add_parser("simulate", help="run seeded network-coding repair trials")
     simulate.add_argument("--alpha-sym", type=int, required=True, help="stored symbols per node")
@@ -592,28 +602,42 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--max-subsets", type=int, default=100, help="k-subsets checked per trial")
     simulate.add_argument("--format", choices=["text", "json"], default="text")
     _add_param_args(simulate)
-    simulate.set_defaults(func=cmd_simulate)
 
     graph = sub.add_parser("graph", help="dump the worst-case flow graph as an edge list")
     graph.add_argument("--beta2", required=True, help="expensive-tier download (rational)")
     graph.add_argument("--alpha", help="per-node storage (default: alpha_min at beta2)")
     _add_param_args(graph)
-    graph.set_defaults(func=cmd_graph)
 
     figures = sub.add_parser(
         "paper-figures", help="write the reference figure sweeps as CSV files"
     )
     figures.add_argument("--outdir", required=True, help="directory for the CSV files")
-    figures.set_defaults(func=cmd_paper_figures)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves the parser as it found it, so one serves every main call
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # handlers are looked up per call, not bound into the shared parser, so a
+    # replaced module attribute (a monkeypatch, a tracer's wrapper) is what runs
+    commands = {
+        "point": cmd_point,
+        "curve": cmd_curve,
+        "ratio": cmd_ratio,
+        "threshold": cmd_threshold,
+        "verify": cmd_verify,
+        "simulate": cmd_simulate,
+        "graph": cmd_graph,
+        "paper-figures": cmd_paper_figures,
+    }
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except RegenError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return 2

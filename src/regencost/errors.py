@@ -13,6 +13,12 @@ class RegenError(Exception):
     code = "Error"
 
 
+class UsageError(RegenError, ValueError):
+    """A value is malformed or of the wrong type: not a rational literal, not a prime order."""
+
+    code = "Usage"
+
+
 class InvalidDegreeError(RegenError, ValueError):
     """Helper counts are inconsistent with the system size or with k."""
 

@@ -26,6 +26,7 @@ from .errors import (
     InvalidDegreeError,
     InvalidRatioError,
     NonPositiveError,
+    UsageError,
 )
 
 RationalLike = Union[int, str, Fraction]
@@ -38,16 +39,16 @@ def as_fraction(value: RationalLike, what: str = "value") -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
-        raise ValueError(f"{what} must be a rational number, got a bool")
+        raise UsageError(f"{what} must be a rational number, got a bool")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"{what} is not a rational 'p/q' literal: {value!r}") from exc
+            raise UsageError(f"{what} is not a rational 'p/q' literal: {value!r}") from exc
     # floats are rejected on purpose: Fraction(0.15) is not 3/20
-    raise ValueError(f"{what} must be an int, Fraction, or 'p/q' string, got {type(value).__name__}")
+    raise UsageError(f"{what} must be an int, Fraction, or 'p/q' string, got {type(value).__name__}")
 
 
 class Scenario(Enum):

@@ -24,6 +24,7 @@ from .errors import (
     NonIntegerDownloadError,
     NonPositiveError,
     UnknownNodeError,
+    UsageError,
 )
 from .params import CHEAP, EXPENSIVE, SystemParams, repair_history
 
@@ -122,8 +123,8 @@ class PrimeField:
     """Integers modulo a prime."""
 
     def __init__(self, order: int = 257) -> None:
-        if order < 2 or any(order % p == 0 for p in range(2, int(order**0.5) + 1)):
-            raise ValueError(f"order must be prime, got {order}")
+        if not isinstance(order, int) or order < 2 or any(order % p == 0 for p in range(2, int(order**0.5) + 1)):
+            raise UsageError(f"order must be a prime int, got {order!r}")
         self.order = order
         self.name = f"p{order}"
 

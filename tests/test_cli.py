@@ -1,13 +1,16 @@
 import csv
 import hashlib
 import json
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 import regencost.cutflow
 import regencost.tradeoff
-from regencost.cli import _MAX_SAMPLES, main
+from regencost import cli
+from regencost.cli import _MAX_SAMPLES, build_parser, main
 
 F = Fraction
 
@@ -163,6 +166,36 @@ def test_curve_matches_frozen_digest(flags, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# a 12-digit mantissa without trailing zeros, as .12g prints it
+_BIG_DECIMAL = re.compile(r"[1-9](\.[0-9]{0,10}[1-9])?e\+[0-9]{3}")
+
+
+@pytest.mark.parametrize("command", [["curve", "--samples", "7"], ["point", "--kind", "msr"]])
+def test_values_beyond_the_float_range_get_twelve_digits(command, capsys):
+    # float(value) overflows here; the decimal column rounds the exact value instead
+    code, out, err = run_cli([*command, "--k", "2", "--d1", "2", "--d2", "1", "--M", "1e400", "--c2", "7/3"], capsys)
+    assert code == 0 and err == ""
+    _, rows = parse_csv(out)
+    if command[0] == "curve":  # exact and decimal columns alternate
+        pairs = [(row[i], row[i + 1]) for row in rows for i in range(0, len(row), 2)]
+    else:
+        pairs = [(row[1], row[2]) for row in rows if row[2]]
+    assert len(pairs) >= 5
+    for exact, decimal in pairs:
+        assert _BIG_DECIMAL.fullmatch(decimal), decimal
+        assert abs(Fraction(Decimal(decimal)) / F(exact) - 1) < F(1, 10**11)
+
+
+def test_big_decimals_match_the_float_style(capsys):
+    code, out, _ = run_cli(["point", "--kind", "msr", *A_SMALL_FLAGS[:-2], "--M", "1e400"], capsys)
+    assert code == 0
+    assert {row[0]: row[2] for row in parse_csv(out)[1]}["alpha"] == "5e+399"
+    code, out, _ = run_cli(["point", "--kind", "msr", *A_SMALL_FLAGS[:-2], "--M", "123456789012345e400"], capsys)
+    decimals = {row[0]: row[2] for row in parse_csv(out)[1]}
+    assert decimals["alpha"] == "6.17283945062e+413"  # 6.17283945061725e+413, rounded half to even
+    assert decimals["gamma"] == "9.25925917593e+413"  # 9.259259175925875e+413
+
+
 # ---------------------------------------------------------------------------
 # ratio and threshold
 
@@ -189,6 +222,24 @@ def test_ratio_defaults_to_configured_costs(capsys):
     assert code == 0
     _, rows = parse_csv(out)
     assert len(rows) == 1 and rows[0][5] == "4"
+
+
+@pytest.mark.parametrize("spec", [f"1..{_MAX_SAMPLES + 1}", f"5..{_MAX_SAMPLES + 5}", "1..30000000"])
+def test_ratio_rejects_kprime_ranges_above_the_cap(spec, capsys):
+    # the cap is checked before any row is built, so these fail at once
+    code, out, err = run_cli(["ratio", "--kind", "msr", "--kprime-range", spec, *A_SMALL_FLAGS[:-2]], capsys)
+    assert code == 2
+    assert out == ""
+    low, high = map(int, spec.split(".."))
+    assert err == f"error: Usage: --kprime-range must span at most {_MAX_SAMPLES} values, got {high - low + 1}\n"
+
+
+def test_ratio_failure_prints_no_partial_csv(capsys):
+    # a cost ratio below 1 fails while the rows are built, before anything is written
+    code, out, err = run_cli(["ratio", "--kind", "msr", "--cost-ratio", "0", *A_SMALL_FLAGS[:-2]], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: InvalidCostOrder: cost_cheap must not exceed cost_expensive, got 1 > 0\n"
 
 
 def test_ratio_rejects_bad_ranges(capsys):
@@ -519,14 +570,99 @@ def test_invalid_degrees_exit_with_error_code(capsys):
 
 
 def test_malformed_rational(capsys):
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         ["point", "--kind", "gmsr", *A_SMALL_FLAGS[:-2], "--kprime", "x/y"], capsys
     )
     assert code == 2
-    assert err.startswith("error: Usage:")
+    assert out == ""
+    # UsageError carries the code the CLI used for a bare ValueError
+    assert err == "error: Usage: kprime is not a rational 'p/q' literal: 'x/y'\n"
 
 
 def test_argparse_rejects_missing_subcommand_options():
     with pytest.raises(SystemExit) as excinfo:
         main(["point", "--k", "2", "--d1", "2", "--d2", "1"])
     assert excinfo.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+@pytest.fixture
+def fresh_parser_cache():
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_main_builds_the_parser_at_most_once(monkeypatch, capsys, fresh_parser_cache):
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    for _ in range(5):
+        assert run_cli(["threshold", *A_SMALL_FLAGS], capsys)[0] == 0
+    with pytest.raises(SystemExit):
+        main(["point"])
+    assert len(built) == 1
+
+
+def test_build_parser_returns_a_new_parser_each_call():
+    assert build_parser() is not build_parser()
+
+
+def test_main_runs_the_handler_the_module_holds_at_call_time(monkeypatch, capsys):
+    # the shared parser must not pin the handlers it was built with: the
+    # benchmark's traced run wraps cli.cmd_* after earlier calls built it
+    assert run_cli(["threshold", *A_SMALL_FLAGS], capsys)[0] == 0
+    monkeypatch.setattr(cli, "cmd_threshold", lambda args: 7)
+    assert main(["threshold", *A_SMALL_FLAGS]) == 7
+
+
+def _outcome(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_shared_parser_gives_what_a_fresh_parser_gives(tmp_path, capsys, fresh_parser_cache):
+    # each call after the first reuses the parser the earlier calls parsed with;
+    # repeated appends and defaults must not leak from one call into the next
+    sequence = [
+        ["point", "--kind", "gmbr", *A_SMALL_FLAGS],
+        ["curve", "--samples", "5", *A_SMALL_FLAGS],
+        ["verify", "--beta2", "3/20", "--beta2", "1/10", *A_SMALL_FLAGS],
+        ["verify", *A_SMALL_FLAGS],
+        ["ratio", "--kind", "msr", "--kprime-range", "1..3", "--cost-ratio", "3", *A_SMALL_FLAGS],
+        ["ratio", "--kind", "msr", "--kprime-range", "1..3", *A_SMALL_FLAGS, "--c2", "2"],
+        ["ratio", "--kind", "mbr", "--kprime-range", "2..3", "--cost-ratio", "3", "--cost-ratio", "5/2",
+         *A_SMALL_FLAGS],
+        ["ratio", "--kind", "mbr", "--kprime-range", "2..3", *A_SMALL_FLAGS],
+        ["point", "--k", "2"],
+        ["threshold", *A_SMALL_FLAGS],
+        ["threshold", "--kind", "nope", *A_SMALL_FLAGS],
+        ["threshold", "--kind", "msr", *A_SMALL_FLAGS],
+        ["simulate", *SIM_FLAGS, "--alpha-sym", "5", "--beta2-sym", "1", "--trials", "2", "--seed", "3"],
+        ["graph", "--beta2", "3/20", *A_SMALL_FLAGS],
+        ["paper-figures", "--outdir", str(tmp_path)],
+        ["point", "--kind", "msr", "--k", "2", "--d1", "2", "--d2", "1", "--M", "x/y"],
+        ["threshold", "--help"],
+        ["verify", "--sweep", "--max-k", "0"],
+        ["point", "--kind", "gmbr", *A_SMALL_FLAGS],
+    ]
+    shared = [_outcome(argv, capsys) for argv in sequence]
+    fresh = []
+    for argv in sequence:
+        cli._parser.cache_clear()  # main builds a new parser for this call
+        fresh.append(_outcome(argv, capsys))
+    assert shared == fresh
+    codes = [code for code, _, _ in shared]
+    assert codes == [0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 2, 0, 0, 0, 0, 2, 0, 2, 0]
+    assert shared[0] == shared[-1]

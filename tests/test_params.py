@@ -11,6 +11,7 @@ from regencost import (
     InvalidRatioError,
     NonPositiveError,
     Scenario,
+    UsageError,
     as_fraction,
     repair_bandwidth,
     total_cost,
@@ -130,7 +131,7 @@ def test_as_fraction_parses_integers_and_ratios():
 
 @pytest.mark.parametrize("bad", [0.25, "x/y", "1/0", True, None])
 def test_as_fraction_rejects_inexact_or_malformed(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         as_fraction(bad)
 
 

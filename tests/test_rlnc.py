@@ -13,6 +13,7 @@ from regencost.errors import (
     NonIntegerDownloadError,
     NonPositiveError,
     UnknownNodeError,
+    UsageError,
 )
 from regencost.rlnc import (
     GF256,
@@ -101,8 +102,8 @@ def test_primefield_inverses_small_exhaustive():
 
 
 def test_primefield_rejects_composite_order():
-    for order in (0, 1, 6, 9, 255):
-        with pytest.raises(ValueError):
+    for order in (0, 1, 6, 9, 255, True, 7.0, 2.5, "7"):
+        with pytest.raises(UsageError):
             PrimeField(order)
 
 
