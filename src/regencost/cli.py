@@ -35,34 +35,26 @@ from typing import Iterable, Sequence, TextIO
 
 from . import cutflow, rlnc, tradeoff
 from .errors import NonPositiveError, NotApplicableError, RegenError
-from .params import CodePoint, SystemParams, as_fraction, validate_params
+from .params import CodePoint, SystemParams, as_fraction, total_cost
 
-_CONFIG_KEYS = {
-    "n": "n",
-    "k": "k",
-    "d1": "d1",
-    "d2": "d2",
-    "kprime": "kprime",
-    "M": "file_size",
-    "file_size": "file_size",
-    "c1": "cost_cheap",
-    "C1": "cost_cheap",
-    "cost_cheap": "cost_cheap",
-    "c2": "cost_expensive",
-    "C2": "cost_expensive",
-    "cost_expensive": "cost_expensive",
-}
-
-_FLAG_FIELDS = (
-    ("n", "n"),
-    ("k", "k"),
-    ("d1", "d1"),
-    ("d2", "d2"),
-    ("kprime", "kprime"),
-    ("M", "file_size"),
-    ("c1", "cost_cheap"),
-    ("c2", "cost_expensive"),
+# one row per system-parameter flag: (flag, SystemParams field, argparse type, help)
+_PARAM_FLAGS = (
+    ("n", "n", int, "total nodes (default d1+d2+1)"),
+    ("k", "k", int, "nodes needed to rebuild the file"),
+    ("d1", "d1", int, "cheap helpers per repair"),
+    ("d2", "d2", int, "expensive helpers per repair"),
+    ("kprime", "kprime", None, "download ratio beta1/beta2, rational >= 1 (default 1)"),
+    ("M", "file_size", None, "file size, rational > 0 (default 1)"),
+    ("c1", "cost_cheap", None, "cheap per-symbol cost, rational (default 1)"),
+    ("c2", "cost_expensive", None, "expensive per-symbol cost, rational (default 1)"),
 )
+
+# a --config key is a flag name, a field name, or the capitalised cost flags C1 and C2
+_CONFIG_KEYS = {
+    **{key: field for flag, field, _, _ in _PARAM_FLAGS for key in (flag, field)},
+    "C1": "cost_cheap",
+    "C2": "cost_expensive",
+}
 
 _FIGURE_KPRIMES = range(1, 21)
 
@@ -71,7 +63,14 @@ _MAX_SAMPLES = 100_000
 
 
 def _exact(value: Fraction | None) -> str:
-    return "" if value is None else str(value)
+    if value is None:
+        return ""
+    try:
+        return str(value)
+    except ValueError:
+        # past the interpreter's limit on int-to-str digits; Decimal prints any int exactly
+        numerator = f"{Decimal(value.numerator):f}"
+        return numerator if value.denominator == 1 else f"{numerator}/{Decimal(value.denominator):f}"
 
 
 def _decimal(value: Fraction | None) -> str:
@@ -96,14 +95,8 @@ def _write_csv(stream: TextIO, header: Sequence[str], rows: Iterable[Sequence[st
 def _add_param_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("system parameters")
     group.add_argument("--config", type=Path, help="JSON file with n, k, d1, d2, kprime, M, c1, c2")
-    group.add_argument("--n", type=int, help="total nodes (default d1+d2+1)")
-    group.add_argument("--k", type=int, help="nodes needed to rebuild the file")
-    group.add_argument("--d1", type=int, help="cheap helpers per repair")
-    group.add_argument("--d2", type=int, help="expensive helpers per repair")
-    group.add_argument("--kprime", help="download ratio beta1/beta2, rational >= 1 (default 1)")
-    group.add_argument("--M", help="file size, rational > 0 (default 1)")
-    group.add_argument("--c1", help="cheap per-symbol cost, rational (default 1)")
-    group.add_argument("--c2", help="expensive per-symbol cost, rational (default 1)")
+    for flag, _, kind, help_text in _PARAM_FLAGS:
+        group.add_argument(f"--{flag}", type=kind, help=help_text)
 
 
 def _params_from_args(args: argparse.Namespace) -> SystemParams:
@@ -116,20 +109,18 @@ def _params_from_args(args: argparse.Namespace) -> SystemParams:
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
             values[_CONFIG_KEYS[key]] = value
-    for flag, canon in _FLAG_FIELDS:
+    for flag, field, _, _ in _PARAM_FLAGS:
         value = getattr(args, flag)
         if value is not None:
-            values[canon] = value
+            values[field] = value
     for required in ("k", "d1", "d2"):
         if required not in values:
             raise ValueError(f"--{required} is required (flag or --config)")
     if "n" not in values:
-        values["n"] = int(values["d1"]) + int(values["d2"]) + 1
-    values.setdefault("kprime", 1)
-    values.setdefault("file_size", 1)
-    values.setdefault("cost_cheap", 1)
-    values.setdefault("cost_expensive", 1)
-    return validate_params(**values)  # type: ignore[arg-type]
+        d1, d2 = values["d1"], values["d2"]
+        # SystemParams refuses a d1 or d2 that is not an int before it reads n, so 0 stands in then
+        values["n"] = d1 + d2 + 1 if isinstance(d1, int) and isinstance(d2, int) else 0
+    return SystemParams(**values)  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +131,7 @@ def _point_for_kind(params: SystemParams, kind: str) -> CodePoint:
     if kind in ("msr", "mbr"):
         builder = tradeoff.msr_point if kind == "msr" else tradeoff.mbr_point
         point = builder(params.file_size, params.k, params.d)
-        symmetric_cost = (params.cost_cheap * params.d1 + params.cost_expensive * params.d2) * point.beta2
-        return replace(point, cost=symmetric_cost)
+        return replace(point, cost=total_cost(replace(params, kprime=Fraction(1)), point.beta2))
     if kind in ("gmsr", "gmbr"):
         return tradeoff.gmsr_point(params) if kind == "gmsr" else tradeoff.gmbr_point(params)
     return tradeoff.grc_limit_point(params, kind.removesuffix("-limit"))
@@ -320,7 +310,7 @@ def _sweep_reproducer(params: SystemParams, beta2: Fraction) -> str:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.sweep:
-        flags = ("config", *(flag for flag, _ in _FLAG_FIELDS))
+        flags = ("config", *(flag for flag, _, _, _ in _PARAM_FLAGS))
         ignored = [f"--{flag}" for flag in flags if getattr(args, flag) is not None]
         if args.beta2:
             ignored.append("--beta2")
@@ -485,8 +475,8 @@ def cmd_graph(args: argparse.Namespace) -> int:
 def cmd_paper_figures(args: argparse.Namespace) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    config_a = validate_params(15, 5, 8, 6)
-    config_b = validate_params(15, 5, 4, 10)
+    config_a = SystemParams(15, 5, 8, 6)
+    config_b = SystemParams(15, 5, 4, 10)
     frac = Fraction
     written = []
 

@@ -31,12 +31,8 @@ import networkx as nx
 from networkx.algorithms.flow import edmonds_karp
 
 from . import tradeoff
-from .errors import (
-    InsufficientRepairBandwidthError,
-    InvalidConstructionError,
-    NonPositiveError,
-)
-from .params import RationalLike, Scenario, SystemParams, as_fraction, repair_history
+from .errors import InsufficientRepairBandwidthError, InvalidConstructionError
+from .params import RationalLike, Scenario, SystemParams, as_count, as_nonnegative, repair_history
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +46,7 @@ def cut_terms(params: SystemParams, beta2: RationalLike) -> list[Fraction]:
     collector side of the cut; the remaining in-capacity is the term that
     competes with alpha.
     """
-    b2 = _checked_nonnegative(beta2, "beta2")
+    b2 = as_nonnegative(beta2, "beta2")
     k, d, d1, d2, kp = params.k, params.d, params.d1, params.d2, params.kprime
     if params.scenario is Scenario.A:
         return [(d1 * kp + d2 - i * kp) * b2 for i in range(k)]
@@ -61,7 +57,7 @@ def cut_terms(params: SystemParams, beta2: RationalLike) -> list[Fraction]:
 
 def cut_capacity_sum(params: SystemParams, alpha: RationalLike, beta2: RationalLike) -> Fraction:
     """Capacity of the adversarial cut: sum of min(term, alpha) over newcomers."""
-    a = _checked_nonnegative(alpha, "alpha")
+    a = as_nonnegative(alpha, "alpha")
     return sum(min(term, a) for term in cut_terms(params, beta2))
 
 
@@ -85,13 +81,6 @@ def alpha_min_oracle(params: SystemParams, beta2: RationalLike) -> Fraction:
             return candidate
         saturated += term
     return terms[-1]  # only reachable when the total equals the file size
-
-
-def _checked_nonnegative(value: RationalLike, what: str) -> Fraction:
-    v = as_fraction(value, what)
-    if v < 0:
-        raise NonPositiveError(f"{what} must be nonnegative, got {v}")
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +140,8 @@ def build_gstar(params: SystemParams, alpha: RationalLike, beta2: RationalLike) 
     which turns earlier newcomers into expensive helpers of later ones.
     The collector reads exactly the k newcomers.
     """
-    a = _checked_nonnegative(alpha, "alpha")
-    b2 = _checked_nonnegative(beta2, "beta2")
+    a = as_nonnegative(alpha, "alpha")
+    b2 = as_nonnegative(beta2, "beta2")
     b1 = params.kprime * b2
     k, d1, d2 = params.k, params.d1, params.d2
     builder = _GraphBuilder(a)
@@ -323,7 +312,7 @@ def verify_closed_form(
     if beta2_grid is None:
         grid = default_beta2_grid(params)
     else:
-        grid = sorted({_checked_nonnegative(b2, "beta2") for b2 in beta2_grid})
+        grid = sorted({as_nonnegative(b2, "beta2") for b2 in beta2_grid})
     reports = []
     for b2 in grid:
         try:
@@ -334,7 +323,7 @@ def verify_closed_form(
             oracle: Fraction | None = alpha_min_oracle(params, b2)
         except InsufficientRepairBandwidthError:
             oracle = None
-        agree = closed == oracle if (closed is None) == (oracle is None) else False
+        agree = closed == oracle
         if closed is not None:
             flow = max_flow(build_gstar(params, closed, b2))
             flow_ok = flow == cut_capacity_sum(params, closed, b2) == params.file_size
@@ -375,8 +364,7 @@ def verification_sweep(
                         d1=d1,
                         d2=d2,
                         kprime=Fraction(kprime),
-                        file_size=as_fraction(file_size, "file_size"),
-                        cost_cheap=Fraction(1),
+                        file_size=file_size,
                         cost_expensive=Fraction(2),
                     )
 
@@ -401,14 +389,12 @@ def random_history_graph(
     tier can still field a full helper set, and every replacement inherits
     the failed node's tier.
     """
-    a = _checked_nonnegative(alpha, "alpha")
-    b2 = _checked_nonnegative(beta2, "beta2")
+    a = as_nonnegative(alpha, "alpha")
+    b2 = as_nonnegative(beta2, "beta2")
     b1 = params.kprime * b2
     n, k, d1, d2 = params.n, params.k, params.d1, params.d2
-    if failures < 0:
-        raise NonPositiveError(f"failures must be nonnegative, got {failures}")
-    if n_cheap is None:
-        n_cheap = rng.randint(d1, n - d2)
+    failures = as_count(failures, "failures")
+    n_cheap = rng.randint(d1, n - d2) if n_cheap is None else as_count(n_cheap, "n_cheap")
     if not d1 <= n_cheap <= n - d2:
         raise InvalidConstructionError(
             f"n_cheap={n_cheap} cannot supply d1={d1} cheap and d2={d2} expensive helpers"

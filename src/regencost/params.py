@@ -25,6 +25,7 @@ from .errors import (
     InvalidCostOrderError,
     InvalidDegreeError,
     InvalidRatioError,
+    NonIntegerDownloadError,
     NonPositiveError,
     UsageError,
 )
@@ -49,6 +50,23 @@ def as_fraction(value: RationalLike, what: str = "value") -> Fraction:
             raise UsageError(f"{what} is not a rational 'p/q' literal: {value!r}") from exc
     # floats are rejected on purpose: Fraction(0.15) is not 3/20
     raise UsageError(f"{what} must be an int, Fraction, or 'p/q' string, got {type(value).__name__}")
+
+
+def as_nonnegative(value: RationalLike, what: str) -> Fraction:
+    """:func:`as_fraction`, refusing values below zero."""
+    v = as_fraction(value, what)
+    if v < 0:
+        raise NonPositiveError(f"{what} must be nonnegative, got {v}")
+    return v
+
+
+def as_count(value: int, what: str, minimum: int = 0) -> int:
+    """A whole count of at least ``minimum``; bools, floats and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise NonIntegerDownloadError(f"{what} must be an integer count, got {value!r}")
+    if value < minimum:
+        raise NonPositiveError(f"{what} must be at least {minimum}, got {value}")
+    return value
 
 
 class Scenario(Enum):
@@ -90,8 +108,7 @@ class SystemParams:
             raise NonPositiveError(f"k must be at least 1, got {self.k}")
         if self.file_size <= 0:
             raise NonPositiveError(f"file_size must be positive, got {self.file_size}")
-        if self.cost_cheap < 0:
-            raise NonPositiveError(f"cost_cheap must be nonnegative, got {self.cost_cheap}")
+        as_nonnegative(self.cost_cheap, "cost_cheap")
         if self.d1 < 0 or self.d2 < 0:
             raise InvalidDegreeError(f"helper counts must be nonnegative, got d1={self.d1}, d2={self.d2}")
         if self.n <= self.k:
@@ -121,6 +138,11 @@ class SystemParams:
         """Repair bandwidth per unit of expensive-tier download: d1*kprime + d2."""
         return self.d1 * self.kprime + self.d2
 
+    @property
+    def cost_per_beta2(self) -> Fraction:
+        """Repair cost per unit of expensive-tier download: cost_cheap*d1*kprime + cost_expensive*d2."""
+        return self.cost_cheap * self.d1 * self.kprime + self.cost_expensive * self.d2
+
 
 def validate_params(
     n: int,
@@ -133,16 +155,7 @@ def validate_params(
     cost_expensive: RationalLike = 1,
 ) -> SystemParams:
     """Build a SystemParams from raw values, raising a typed error on any violation."""
-    return SystemParams(
-        n=n,
-        k=k,
-        d1=d1,
-        d2=d2,
-        kprime=as_fraction(kprime, "kprime"),
-        file_size=as_fraction(file_size, "file_size"),
-        cost_cheap=as_fraction(cost_cheap, "cost_cheap"),
-        cost_expensive=as_fraction(cost_expensive, "cost_expensive"),
-    )
+    return SystemParams(n, k, d1, d2, kprime, file_size, cost_cheap, cost_expensive)
 
 
 def repair_history(
@@ -188,18 +201,12 @@ def repair_history(
 
 def repair_bandwidth(params: SystemParams, beta2: RationalLike) -> Fraction:
     """Total symbols moved per repair: gamma = d1*beta1 + d2*beta2 with beta1 = kprime*beta2."""
-    b2 = as_fraction(beta2, "beta2")
-    if b2 < 0:
-        raise NonPositiveError(f"beta2 must be nonnegative, got {b2}")
-    return params.gamma_per_beta2 * b2
+    return params.gamma_per_beta2 * as_nonnegative(beta2, "beta2")
 
 
 def total_cost(params: SystemParams, beta2: RationalLike) -> Fraction:
     """Per-repair download cost: cost_cheap*d1*beta1 + cost_expensive*d2*beta2."""
-    b2 = as_fraction(beta2, "beta2")
-    if b2 < 0:
-        raise NonPositiveError(f"beta2 must be nonnegative, got {b2}")
-    return (params.cost_cheap * params.d1 * params.kprime + params.cost_expensive * params.d2) * b2
+    return params.cost_per_beta2 * as_nonnegative(beta2, "beta2")
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,10 @@ from .errors import (
     InsufficientHelpersError,
     InvalidChoiceError,
     NonIntegerDownloadError,
-    NonPositiveError,
     UnknownNodeError,
     UsageError,
 )
-from .params import CHEAP, EXPENSIVE, SystemParams, repair_history
+from .params import CHEAP, EXPENSIVE, SystemParams, as_count, repair_history
 
 
 class ByteField:
@@ -216,14 +215,6 @@ class StorageState:
     field: Field
 
 
-def _checked_count(value: int, what: str, minimum: int = 0) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise NonIntegerDownloadError(f"{what} must be an integer symbol count, got {value!r}")
-    if value < minimum:
-        raise NonPositiveError(f"{what} must be at least {minimum}, got {value}")
-    return value
-
-
 def encode_initial(
     file_len: int,
     n: int,
@@ -233,9 +224,9 @@ def encode_initial(
     tiers: Sequence[str] | None = None,
 ) -> StorageState:
     """Fill n nodes with alpha_sym uniformly random coefficient rows each."""
-    file_len = _checked_count(file_len, "file_len", minimum=1)
-    n = _checked_count(n, "n", minimum=1)
-    alpha_sym = _checked_count(alpha_sym, "alpha_sym")
+    file_len = as_count(file_len, "file_len", minimum=1)
+    n = as_count(n, "n", minimum=1)
+    alpha_sym = as_count(alpha_sym, "alpha_sym")
     if tiers is None:
         tiers = (CHEAP,) * n
     if len(tiers) != n or any(t not in (CHEAP, EXPENSIVE) for t in tiers):
@@ -270,8 +261,8 @@ def repair(
     and inherits the failed node's tier.
     """
     _check_node(state, failed_node)
-    beta1_sym = _checked_count(beta1_sym, "beta1_sym")
-    beta2_sym = _checked_count(beta2_sym, "beta2_sym")
+    beta1_sym = as_count(beta1_sym, "beta1_sym")
+    beta2_sym = as_count(beta2_sym, "beta2_sym")
     seen: set[int] = {failed_node}
     for helpers, tier in ((helpers_cheap, CHEAP), (helpers_expensive, EXPENSIVE)):
         for helper in helpers:
@@ -375,14 +366,13 @@ def run_trial(
         raise NonIntegerDownloadError(
             f"simulation needs an integer file size in symbols, got {params.file_size}"
         )
-    alpha_sym = _checked_count(alpha_sym, "alpha_sym")
-    beta2_sym = _checked_count(beta2_sym, "beta2_sym")
-    num_failures = _checked_count(num_failures, "num_failures")
-    max_subsets = _checked_count(max_subsets, "max_subsets", minimum=1)
+    alpha_sym = as_count(alpha_sym, "alpha_sym")
+    beta2_sym = as_count(beta2_sym, "beta2_sym")
+    num_failures = as_count(num_failures, "num_failures")
+    max_subsets = as_count(max_subsets, "max_subsets", minimum=1)
     beta1_sym = int(params.kprime) * beta2_sym
     n, k, d1, d2 = params.n, params.k, params.d1, params.d2
-    if n_cheap is None:
-        n_cheap = n - d2
+    n_cheap = n - d2 if n_cheap is None else as_count(n_cheap, "n_cheap")
     if not d1 <= n_cheap <= n - d2:
         raise InsufficientHelpersError(
             f"n_cheap={n_cheap} cannot supply d1={d1} cheap and d2={d2} expensive helpers"

@@ -36,6 +36,7 @@ from .params import (
     Scenario,
     SystemParams,
     as_fraction,
+    as_nonnegative,
     repair_bandwidth,
     total_cost,
 )
@@ -47,13 +48,6 @@ def _check_kind(kind: str) -> str:
     if kind not in _POINT_KINDS:
         raise InvalidChoiceError(f"kind must be one of {_POINT_KINDS}, got {kind!r}")
     return kind
-
-
-def _checked_beta2(beta2: RationalLike) -> Fraction:
-    b2 = as_fraction(beta2, "beta2")
-    if b2 < 0:
-        raise NonPositiveError(f"beta2 must be positive, got {b2}")
-    return b2
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +168,7 @@ def _piece_tail2(params: SystemParams, i: int) -> Fraction:
 
 def alpha_min(params: SystemParams, beta2: RationalLike) -> Fraction:
     """Least per-node storage meeting the reconstruction bound at this beta2."""
-    b2 = _checked_beta2(beta2)
+    b2 = as_nonnegative(beta2, "beta2")
     M, k = params.file_size, params.k
     if b2 > 0 and b2 >= _piece_start(params, 0):
         return M / k
@@ -282,7 +276,7 @@ def cost_ratio(params: SystemParams, kind: str) -> Fraction:
     _check_kind(kind)
     M, k, d, d1, d2, kp = _unpack(params)
     c1, c2 = params.cost_cheap, params.cost_expensive
-    tier_cost = c1 * d1 * kp + c2 * d2
+    tier_cost = params.cost_per_beta2
     base_cost = c1 * d1 + c2 * d2
     if params.scenario is Scenario.A:
         if kind == "msr":
@@ -350,11 +344,6 @@ class TradeoffSegment:
     slope: Fraction
     segment_index: int
 
-    def contains(self, beta2: Fraction) -> bool:
-        if beta2 < self.beta2_lo:
-            return False
-        return self.beta2_hi is None or beta2 < self.beta2_hi
-
     def alpha_at(self, beta2: Fraction) -> Fraction:
         return self.intercept - self.slope * beta2
 
@@ -366,15 +355,6 @@ class TradeoffCurve:
     params: SystemParams
     beta2_min: Fraction
     segments: tuple[TradeoffSegment, ...]
-
-    def alpha_at(self, beta2: RationalLike) -> Fraction:
-        b2 = _checked_beta2(beta2)
-        for segment in self.segments:
-            if segment.contains(b2):
-                return segment.alpha_at(b2)
-        raise InsufficientRepairBandwidthError(
-            f"beta2={b2} is below the feasibility threshold {self.beta2_min}"
-        )
 
     def breakpoints(self) -> list[Fraction]:
         """Left endpoints of every segment, ascending; the first is beta2_min."""
@@ -391,12 +371,12 @@ class TradeoffCurve:
         """
         params, segments = self.params, self.segments
         kprime, gamma_per_beta2 = params.kprime, params.gamma_per_beta2
-        cost_per_beta2 = params.cost_cheap * params.d1 * kprime + params.cost_expensive * params.d2
+        cost_per_beta2 = params.cost_per_beta2
         last = len(segments) - 1
         index, visited = 0, None
         result = []
         for beta2 in beta2s:
-            b2 = _checked_beta2(beta2)
+            b2 = as_nonnegative(beta2, "beta2")
             if b2 < segments[index].beta2_lo:
                 index = 0
                 if b2 < self.beta2_min:
@@ -439,7 +419,7 @@ def tradeoff_curve(params: SystemParams) -> TradeoffCurve:
 
 def operating_point(params: SystemParams, beta2: RationalLike) -> CodePoint:
     """CodePoint on the minimum-storage curve at the given beta2."""
-    b2 = _checked_beta2(beta2)
+    b2 = as_nonnegative(beta2, "beta2")
     return CodePoint(
         alpha=alpha_min(params, b2),
         beta1=params.kprime * b2,

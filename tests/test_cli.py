@@ -1,7 +1,9 @@
 import csv
 import hashlib
+import argparse
 import json
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -9,7 +11,7 @@ import pytest
 
 import regencost.cutflow
 import regencost.tradeoff
-from regencost import cli
+from regencost import SystemParams, cli
 from regencost.cli import _MAX_SAMPLES, build_parser, main
 
 F = Fraction
@@ -93,6 +95,16 @@ def test_point_config_rejects_unknown_keys(tmp_path, capsys):
     code, _, err = run_cli(["point", "--kind", "gmbr", "--config", str(config)], capsys)
     assert code == 2
     assert "unknown config key" in err
+
+
+@pytest.mark.parametrize("d1", [None, "x", [2], 2.5, "2"])
+def test_point_config_with_a_bad_helper_count_is_a_typed_error(d1, tmp_path, capsys):
+    # without n, n is derived from d1 + d2; a d1 that is not an int must still reach SystemParams
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"k": 2, "d1": d1, "d2": 1}))
+    code, out, err = run_cli(["point", "--kind", "msr", "--config", str(config)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: InvalidDegree: d1 must be an integer, got {d1!r}\n"
 
 
 def test_point_config_must_be_an_object(tmp_path, capsys):
@@ -194,6 +206,24 @@ def test_big_decimals_match_the_float_style(capsys):
     decimals = {row[0]: row[2] for row in parse_csv(out)[1]}
     assert decimals["alpha"] == "6.17283945062e+413"  # 6.17283945061725e+413, rounded half to even
     assert decimals["gamma"] == "9.25925917593e+413"  # 9.259259175925875e+413
+
+
+@pytest.mark.parametrize("k, M", [(2, "1e5000"), (3, "1e5000"), (2, "1e-5000")])
+def test_exact_values_beyond_the_int_string_limit(k, M, capsys):
+    # str() of an int over 4300 digits raises by default; the exact column must not
+    argv = ["point", "--kind", "msr", "--k", str(k), "--d1", str(k), "--d2", "1", "--M", M]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        unlimited = run_cli(argv, capsys)
+        expected_alpha = str(Fraction(M) / k)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert unlimited == (code, out, err)
+    alpha = {row[0]: row[1] for row in parse_csv(out)[1]}["alpha"]
+    assert len(alpha) > limit and alpha == expected_alpha
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +613,80 @@ def test_argparse_rejects_missing_subcommand_options():
     with pytest.raises(SystemExit) as excinfo:
         main(["point", "--k", "2", "--d1", "2", "--d2", "1"])
     assert excinfo.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# the system-parameter surface
+
+PARAMETER_GROUP = [
+    (["--config"], "JSON file with n, k, d1, d2, kprime, M, c1, c2"),
+    (["--n"], "total nodes (default d1+d2+1)"),
+    (["--k"], "nodes needed to rebuild the file"),
+    (["--d1"], "cheap helpers per repair"),
+    (["--d2"], "expensive helpers per repair"),
+    (["--kprime"], "download ratio beta1/beta2, rational >= 1 (default 1)"),
+    (["--M"], "file size, rational > 0 (default 1)"),
+    (["--c1"], "cheap per-symbol cost, rational (default 1)"),
+    (["--c2"], "expensive per-symbol cost, rational (default 1)"),
+]
+
+
+def _parameter_groups():
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: [
+            [(action.option_strings, action.help) for action in group._group_actions]
+            for group in parser._action_groups
+            if group.title == "system parameters"
+        ]
+        for name, parser in subparsers.choices.items()
+    }
+
+
+def test_every_subcommand_has_the_same_parameter_group():
+    groups = _parameter_groups()
+    assert list(groups) == ["point", "curve", "ratio", "threshold", "verify", "simulate", "graph", "paper-figures"]
+    for name, found in groups.items():
+        assert found == ([] if name == "paper-figures" else [PARAMETER_GROUP]), name
+
+
+# one value per --config key, and the flag that sets the same field
+CONFIG_KEY_FLAGS = {
+    "n": ("--n", 7),
+    "k": ("--k", 3),
+    "d1": ("--d1", 4),
+    "d2": ("--d2", 3),
+    "kprime": ("--kprime", "3/2"),
+    "M": ("--M", "5/2"),
+    "file_size": ("--M", "5/2"),
+    "c1": ("--c1", "1/2"),
+    "C1": ("--c1", "1/2"),
+    "cost_cheap": ("--c1", "1/2"),
+    "c2": ("--c2", "3"),
+    "C2": ("--c2", "3"),
+    "cost_expensive": ("--c2", "3"),
+}
+
+
+def _params_for(argv):
+    return cli._params_from_args(build_parser().parse_args(["point", "--kind", "msr", *argv]))
+
+
+@pytest.mark.parametrize("key", list(CONFIG_KEY_FLAGS))
+def test_each_config_key_sets_what_its_flag_sets(key, tmp_path):
+    base = {"k": 2, "d1": 3, "d2": 2}
+    flag, value = CONFIG_KEY_FLAGS[key]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**base, key: value}))
+    from_config = _params_for(["--config", str(config)])
+    from_flag = _params_for([*(x for name, v in base.items() for x in (f"--{name}", str(v))), flag, str(value)])
+    assert isinstance(from_config, SystemParams)
+    assert from_config == from_flag
+    assert from_config != SystemParams(n=6, k=2, d1=3, d2=2)  # the key took effect
+
+
+def test_config_keys_are_the_flags_the_fields_and_the_capitalised_costs():
+    assert set(cli._CONFIG_KEYS) == set(CONFIG_KEY_FLAGS)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from conftest import make_params
 from regencost import (
     InsufficientRepairBandwidthError,
     InvalidConstructionError,
+    NonIntegerDownloadError,
     NonPositiveError,
     alpha_min,
     beta2_min,
@@ -444,11 +445,24 @@ def test_verify_closed_form_explicit_grid():
         assert report.maxflow_at_alpha == 1
 
 
-def test_verify_closed_form_certifies_infeasibility():
+def test_verify_closed_form_certifies_infeasibility(monkeypatch):
     (report,) = verify_closed_form(A_SMALL, [F(1, 10)])
     assert report.alpha_closed is None and report.alpha_oracle is None
     assert report.maxflow_at_alpha == F(4, 5)  # saturated graph still falls short
     assert report.agree and report.flow_ok and report.ok
+    # one route infeasible and the other not is a disagreement, either way round
+    monkeypatch.setattr(cutflow, "alpha_min_oracle", lambda params, beta2: F(1))
+    (report,) = verify_closed_form(A_SMALL, [F(1, 10)])
+    assert report.alpha_closed is None and report.alpha_oracle == 1
+    assert not report.agree and report.flow_ok and not report.ok
+
+    def starved(params, beta2):
+        raise InsufficientRepairBandwidthError("starved")
+
+    monkeypatch.setattr(cutflow, "alpha_min_oracle", starved)
+    (report,) = verify_closed_form(A_SMALL, [F(3, 20)])
+    assert report.alpha_closed == F(11, 20) and report.alpha_oracle is None
+    assert not report.agree and report.flow_ok and not report.ok
 
 
 def test_verify_closed_form_default_grid_samples():
@@ -521,6 +535,9 @@ def test_random_history_tier_pinning():
         )
     with pytest.raises(NonPositiveError):
         random_history_graph(A_SMALL, F(11, 20), F(3, 20), Random(1), failures=-1)
+    for failures, n_cheap in ((2.5, None), (True, None), (1, 2.5), (1, True)):
+        with pytest.raises(NonIntegerDownloadError, match="must be an integer count"):
+            random_history_graph(A_SMALL, F(11, 20), F(3, 20), Random(1), failures, n_cheap)
 
 
 def test_random_history_edge_lists_match_frozen_digest():

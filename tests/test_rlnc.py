@@ -435,6 +435,9 @@ def test_run_trial_validation():
         run_trial(GMBR_PARAMS, alpha_sym=5, beta2_sym=1, num_failures=1, seed=0, n_cheap=1)
     with pytest.raises(InsufficientHelpersError):
         run_trial(GMBR_PARAMS, alpha_sym=5, beta2_sym=1, num_failures=1, seed=0, n_cheap=4)
+    for n_cheap in (2.5, True, "3"):
+        with pytest.raises(NonIntegerDownloadError, match="n_cheap must be an integer count"):
+            run_trial(GMBR_PARAMS, alpha_sym=5, beta2_sym=1, num_failures=1, seed=0, n_cheap=n_cheap)
     with pytest.raises(InvalidChoiceError, match="helper_mode"):
         run_trial(GMBR_PARAMS, alpha_sym=5, beta2_sym=1, num_failures=1, seed=0, helper_mode="greedy")
     with pytest.raises(NonPositiveError):

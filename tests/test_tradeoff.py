@@ -219,8 +219,9 @@ def test_closed_form_does_not_use_the_cut_oracle(monkeypatch):
         curve = tradeoff_curve(params)
         assert gmsr_point(params).beta2 == curve.segments[-1].beta2_lo
         assert gmbr_point(params).beta2 == curve.beta2_min == beta2_min(params)
-        for beta2 in curve.breakpoints():
-            assert operating_point(params, beta2).alpha == alpha_min(params, beta2) == curve.alpha_at(beta2)
+        breakpoints = curve.breakpoints()
+        for beta2, on_line in zip(breakpoints, _line_alphas(curve, breakpoints)):
+            assert operating_point(params, beta2).alpha == alpha_min(params, beta2) == on_line
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +442,8 @@ def test_curve_matches_alpha_min_pointwise():
         for left, right in zip(curve.breakpoints(), curve.breakpoints()[1:]):
             probes.add((left + right) / 2)
         probes.add(curve.breakpoints()[-1] * 3)
-        for beta2 in probes:
-            assert curve.alpha_at(beta2) == alpha_min(params, beta2)
+        for beta2, on_line in zip(sorted(probes), _line_alphas(curve, sorted(probes))):
+            assert on_line == alpha_min(params, beta2)
 
 
 def test_curve_is_nonincreasing_in_beta2():
@@ -453,14 +454,26 @@ def test_curve_is_nonincreasing_in_beta2():
             | {(a + b) / 2 for a, b in zip(curve.breakpoints(), curve.breakpoints()[1:])}
             | {curve.breakpoints()[-1] + 1}
         )
-        values = [curve.alpha_at(b) for b in grid]
+        values = _line_alphas(curve, grid)
         assert all(hi >= lo for hi, lo in zip(values, values[1:]))
 
 
 def test_curve_refuses_points_below_feasibility():
     curve = tradeoff_curve(A_SMALL)
-    with pytest.raises(InsufficientRepairBandwidthError):
-        curve.alpha_at(F(1, 10))
+    assert F(1, 10) < curve.beta2_min
+    for beta2s in ([F(1, 10)], [curve.beta2_min, F(1, 10)]):
+        with pytest.raises(InsufficientRepairBandwidthError):
+            curve.points(beta2s)
+
+
+def _line_alphas(curve, beta2s):
+    """alpha at each beta2 as read off its segment's line by ``curve.points``.
+
+    ``points`` takes the first point of each visit to a segment from
+    ``operating_point`` and the rest from the segment's line, so each beta2
+    is asked for twice and the second answer is kept.
+    """
+    return [point.alpha for point in curve.points(b for b2 in beta2s for b in (b2, b2))][1::2]
 
 
 def _grid_with_breakpoints(curve, samples):

@@ -1,12 +1,14 @@
 """Every public call on any input returns an exact value or raises a RegenError."""
 
+from dataclasses import astuple
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regencost import RegenError, SystemParams, UsageError, cutflow, tradeoff
+from regencost import NonPositiveError, RegenError, SystemParams, UsageError, cutflow, rlnc, tradeoff
 from regencost.params import CodePoint, repair_bandwidth, total_cost, validate_params
 
 _COUNTS = st.one_of(st.integers(-1, 6), st.booleans(), st.none(), st.just("3"), st.just(2.0))
@@ -24,12 +26,17 @@ _KINDS = st.sampled_from(["msr", "mbr", "gmsr", "MSR", ""])
 def _is_exact(value: object) -> bool:
     if isinstance(value, Fraction):
         return True
+    if isinstance(value, SystemParams):
+        rationals = ("kprime", "file_size", "cost_cheap", "cost_expensive")
+        return all(isinstance(getattr(value, f), Fraction) for f in rationals)
     if isinstance(value, CodePoint):
         return all(isinstance(getattr(value, f), Fraction) for f in ("alpha", "beta1", "beta2", "gamma"))
     if isinstance(value, tradeoff.TradeoffCurve):
         return all(isinstance(x, Fraction) for x in value.breakpoints())
     if isinstance(value, cutflow.FlowGraph):
         return all(e.capacity is None or isinstance(e.capacity, Fraction) for e in value.edges)
+    if isinstance(value, rlnc.TrialResult):
+        return isinstance(value.success_rate, Fraction)
     return False
 
 
@@ -41,16 +48,37 @@ def _check(call, *args) -> None:
     assert _is_exact(result), (call.__name__, args, result)
 
 
+@st.composite
+def _valid_params(draw):
+    """A SystemParams that constructs; raw fields almost never do, so the calls on it would never run."""
+    k = draw(st.integers(1, 4))
+    d1 = draw(st.integers(0, 5))
+    d2 = draw(st.integers(max(0, k - d1), 5))
+    cost_cheap = draw(st.fractions(0, 3, max_denominator=4))
+    return SystemParams(
+        n=d1 + d2 + 1 + draw(st.integers(0, 2)),
+        k=k,
+        d1=d1,
+        d2=d2,
+        kprime=draw(st.one_of(st.integers(1, 3), st.fractions(1, 4, max_denominator=5))),
+        file_size=draw(st.one_of(st.integers(1, 6), st.fractions(1, 6, max_denominator=5))),
+        cost_cheap=cost_cheap,
+        cost_expensive=cost_cheap + draw(st.fractions(0, 3, max_denominator=4)),
+    )
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     counts=st.tuples(_COUNTS, _COUNTS, _COUNTS, _COUNTS),
     rationals=st.tuples(_RATIONALS, _RATIONALS, _RATIONALS, _RATIONALS),
+    params=_valid_params(),
     beta2=_RATIONALS,
     alpha=_RATIONALS,
     kind=_KINDS,
+    history=st.tuples(_COUNTS, _COUNTS, _COUNTS, _COUNTS),
 )
-def test_public_calls_raise_only_typed_errors(counts, rationals, beta2, alpha, kind):
-    # n is drawn as an offset from d1 + d2 so that most draws are valid systems
+def test_public_calls_raise_only_typed_errors(counts, rationals, params, beta2, alpha, kind, history):
+    # n is drawn as an offset from d1 + d2 so that more raw draws are valid systems
     k, d1, d2, extra = counts
     try:
         n = d1 + d2 + 1 + extra
@@ -58,10 +86,7 @@ def test_public_calls_raise_only_typed_errors(counts, rationals, beta2, alpha, k
         n = extra
     kprime, file_size, cost_cheap, cost_expensive = rationals
     _check(validate_params, n, k, d1, d2, kprime, file_size, cost_cheap, cost_expensive)
-    try:
-        params = SystemParams(n, k, d1, d2, kprime, file_size, cost_cheap, cost_expensive)
-    except RegenError:
-        return
+    _check(validate_params, *astuple(params))
     _check(tradeoff.msr_point, file_size, params.k, params.d)
     _check(tradeoff.mbr_point, file_size, params.k, params.d)
     for call in (tradeoff.beta2_min, tradeoff.tradeoff_curve, tradeoff.gmsr_point, tradeoff.gmbr_point):
@@ -73,6 +98,20 @@ def test_public_calls_raise_only_typed_errors(counts, rationals, beta2, alpha, k
         _check(call, params, kind)
     _check(cutflow.cut_capacity_sum, params, alpha, beta2)
     _check(cutflow.build_gstar, params, alpha, beta2)
+    failures, n_cheap, alpha_sym, beta2_sym = history
+    _check(cutflow.random_history_graph, params, alpha, beta2, Random(0), failures, n_cheap)
+    _check(lambda: rlnc.run_trial(params, alpha_sym, beta2_sym, failures, 0, n_cheap=n_cheap, max_subsets=4))
+
+
+def test_negative_beta2_is_refused_in_one_wording():
+    params = SystemParams(4, 2, 2, 1)
+    curve = tradeoff.tradeoff_curve(params)
+    for call in (tradeoff.alpha_min, tradeoff.operating_point, cutflow.cut_terms, repair_bandwidth, total_cost):
+        with pytest.raises(NonPositiveError) as info:
+            call(params, -1)
+        assert str(info.value) == "beta2 must be nonnegative, got -1", call.__name__
+    with pytest.raises(NonPositiveError, match="^beta2 must be nonnegative, got -1$"):
+        curve.points([-1])
 
 
 def test_usage_error_is_still_a_value_error():
