@@ -31,8 +31,8 @@ import networkx as nx
 from networkx.algorithms.flow import edmonds_karp
 
 from . import tradeoff
-from .errors import InsufficientRepairBandwidthError, InvalidConstructionError
-from .params import RationalLike, Scenario, SystemParams, as_count, as_nonnegative, repair_history
+from .errors import InsufficientRepairBandwidthError
+from .params import RationalLike, Scenario, SystemParams, as_nonnegative, repair_history
 
 
 # ---------------------------------------------------------------------------
@@ -392,21 +392,17 @@ def random_history_graph(
     a = as_nonnegative(alpha, "alpha")
     b2 = as_nonnegative(beta2, "beta2")
     b1 = params.kprime * b2
-    n, k, d1, d2 = params.n, params.k, params.d1, params.d2
-    failures = as_count(failures, "failures")
-    n_cheap = rng.randint(d1, n - d2) if n_cheap is None else as_count(n_cheap, "n_cheap")
-    if not d1 <= n_cheap <= n - d2:
-        raise InvalidConstructionError(
-            f"n_cheap={n_cheap} cannot supply d1={d1} cheap and d2={d2} expensive helpers"
-        )
+    if n_cheap is None:
+        n_cheap = rng.randint(params.d1, params.n - params.d2)
+    history = repair_history(params, n_cheap, failures, rng)
     builder = _GraphBuilder(a)
-    live = {i: builder.add_storage(f"o{i}", from_source=True) for i in range(n)}
-    for t, (failed, cheap, expensive) in enumerate(repair_history(params, n_cheap, failures, rng)):
+    live = {i: builder.add_storage(f"o{i}", from_source=True) for i in range(params.n)}
+    for t, (failed, cheap, expensive) in enumerate(history):
         name = builder.add_storage(f"x{t}", from_source=False)
         for helpers, amount in ((cheap, b1), (expensive, b2)):
             for helper in helpers:
                 builder.add_download(live[helper], name, amount)
         live[failed] = name
-    for reader in rng.sample(sorted(live), k):
+    for reader in rng.sample(sorted(live), params.k):
         builder.add_collector_read(live[reader])
     return builder.build()

@@ -22,6 +22,7 @@ from random import Random
 from typing import Iterator, Union
 
 from .errors import (
+    InvalidConstructionError,
     InvalidCostOrderError,
     InvalidDegreeError,
     InvalidRatioError,
@@ -176,10 +177,25 @@ def repair_history(
     tier instead, lower index first among equals.  Draws happen as each
     event is requested, so callers may use ``rng`` between events.
 
-    The caller checks ``d1 <= n_cheap <= n - d2``.  With n >= d + 1 that
-    leaves one tier with a spare node, so some node can always fail and
-    every pool holds enough helpers.
+    ``n_cheap`` and ``failures`` are checked when the history is created,
+    before any draw; ``d1 <= n_cheap <= n - d2`` is required, else
+    InvalidConstructionError.  With n >= d + 1 that leaves one tier with a
+    spare node, so some node can always fail and every pool holds enough
+    helpers.
     """
+    n_cheap = as_count(n_cheap, "n_cheap")
+    failures = as_count(failures, "failures")
+    n, d1, d2 = params.n, params.d1, params.d2
+    if not d1 <= n_cheap <= n - d2:
+        raise InvalidConstructionError(
+            f"n_cheap={n_cheap} cannot supply d1={d1} cheap and d2={d2} expensive helpers"
+        )
+    return _repair_events(params, n_cheap, failures, rng, worst_case)
+
+
+def _repair_events(
+    params: SystemParams, n_cheap: int, failures: int, rng: Random, worst_case: bool
+) -> Iterator[tuple[int, list[int], list[int]]]:
     n = params.n
     tiers = (range(n_cheap), range(n_cheap, n))
     needs = (params.d1, params.d2)

@@ -5,8 +5,14 @@ coefficient vectors are tracked, since reconstruction is a rank question.
 The default field is GF(256) with reduction polynomial 0x11D, whose rows
 are handled whole as ``bytes``; a prime field mode (mod 257) keeps
 per-element arithmetic to cross-check the byte-field one.  Each field
-supplies the row operations (``row``, ``combine``, ``rank``) that the
-repair and reconstruction code calls.
+supplies the coefficient draw (``draw``) and the row operations (``row``,
+``combine``, ``rank``) that the repair and reconstruction code calls.
+
+Coefficients are drawn in bulk: ``encode_initial`` and each ``repair``
+make one ``field.draw`` for all of their coefficients.  For a
+``random.Random`` instance the draw is word-for-word the stream of as many
+``rng.randrange(order)`` calls, and leaves ``rng`` in the same state, so
+seeded trials do not depend on how the coefficients are batched.
 """
 
 from __future__ import annotations
@@ -26,6 +32,18 @@ from .errors import (
     UsageError,
 )
 from .params import CHEAP, EXPENSIVE, SystemParams, as_count, repair_history
+
+
+# byte tables for ByteField.draw; a word whose top byte has bit 7 set is redrawn, so such bytes are deleted
+_BIT7_SET = bytes(range(0x80, 0x100))
+_BIT7 = bytes(b & 0x80 for b in range(256))
+_SHL1 = bytes((b << 1) & 0xFF for b in range(256))
+_SHR7 = bytes(b >> 7 for b in range(256))
+
+
+def _or_bytes(a: bytes, b: bytes) -> bytes:
+    """Bytewise OR of two equally long byte strings."""
+    return (int.from_bytes(a, "little") | int.from_bytes(b, "little")).to_bytes(len(a), "little")
 
 
 class ByteField:
@@ -80,16 +98,40 @@ class ByteField:
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
+    def draw(self, rng: Random, count: int) -> bytes:
+        """``count`` coefficients, the same as ``count`` calls of ``rng.randrange(256)``.
+
+        CPython's ``randrange(256)`` takes the top 9 bits of one 32-bit
+        Mersenne Twister word and redraws while they reach 256: a word is
+        kept when its bit 31 is clear, as its bits 30..23.  A word gives at
+        most one value, so drawing ``count - len(out)`` words at once never
+        reads past the last word the single calls would read, and ``rng``
+        ends in the same state.  A generator that is not a plain
+        ``random.Random`` is called once per coefficient instead.
+        """
+        if type(rng) is not Random:
+            return bytes(rng.randrange(256) for _ in range(count))
+        out = b""
+        while len(out) < count:
+            words = count - len(out)
+            raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")  # word i is raw[4i : 4i+4]
+            tops, seconds = raw[3::4], raw[2::4]
+            # a kept word's value is its top byte shifted left by one, plus the top bit of the byte
+            # below; deleting the bytes with bit 7 set drops the redrawn words from both parts alike
+            high = tops.translate(_SHL1, _BIT7_SET)
+            low = _or_bytes(tops.translate(_BIT7), seconds.translate(_SHR7)).translate(None, _BIT7_SET)
+            out += _or_bytes(high, low)
+        return out
+
     def row(self, values: Sequence[int]) -> bytes:
         """The field's working form of a coefficient row."""
         return bytes(values)
 
-    def combine(self, rows: Sequence[bytes], width: int, rng: Random) -> bytes:
-        """Random combination of working rows: one ``rng.randrange(order)`` per row, in order."""
+    def combine(self, rows: Sequence[bytes], width: int, coeffs: Sequence[int]) -> bytes:
+        """The combination of working rows with ``coeffs``, one coefficient per row."""
         tables = self.mul_tables
         acc = 0
-        for row in rows:
-            coeff = rng.randrange(self.order)
+        for row, coeff in zip(rows, coeffs):
             if coeff:
                 acc ^= int.from_bytes(row.translate(tables[coeff]), "big")
         return acc.to_bytes(width, "big")
@@ -144,13 +186,16 @@ class PrimeField:
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
+    def draw(self, rng: Random, count: int) -> list[int]:
+        """``count`` calls of ``rng.randrange(order)``, one at a time: the reference draw."""
+        return [rng.randrange(self.order) for _ in range(count)]
+
     def row(self, values: Sequence[int]) -> tuple[int, ...]:
         return tuple(values)
 
-    def combine(self, rows: Sequence[Sequence[int]], width: int, rng: Random) -> tuple[int, ...]:
+    def combine(self, rows: Sequence[Sequence[int]], width: int, coeffs: Sequence[int]) -> tuple[int, ...]:
         out = [0] * width
-        for row in rows:
-            coeff = rng.randrange(self.order)
+        for row, coeff in zip(rows, coeffs):
             if coeff:
                 out = [self.add(v, self.mul(coeff, r)) for v, r in zip(out, row)]
         return tuple(out)
@@ -231,16 +276,11 @@ def encode_initial(
         tiers = (CHEAP,) * n
     if len(tiers) != n or any(t not in (CHEAP, EXPENSIVE) for t in tiers):
         raise InsufficientHelpersError(f"tiers must be {n} entries of 'cheap'/'expensive'")
-    rng = Random(seed)
+    coeffs = field.draw(Random(seed), n * alpha_sym * file_len)
+    rows = [tuple(coeffs[i : i + file_len]) for i in range(0, len(coeffs), file_len)]
     nodes = tuple(
-        NodeState(
-            rows=tuple(
-                tuple(rng.randrange(field.order) for _ in range(file_len))
-                for _ in range(alpha_sym)
-            ),
-            tier=tier,
-        )
-        for tier in tiers
+        NodeState(rows=tuple(rows[j * alpha_sym : (j + 1) * alpha_sym]), tier=tier)
+        for j, tier in enumerate(tiers)
     )
     return StorageState(nodes=nodes, file_len=file_len, alpha_sym=alpha_sym, field=field)
 
@@ -277,15 +317,26 @@ def repair(
                     f"node {helper} is {state.nodes[helper].tier}, expected {tier}"
                 )
     field, width = state.field, state.file_len
+    sends = [
+        ([field.row(row) for row in state.nodes[helper].rows], count)
+        for helpers, count in ((helpers_cheap, beta1_sym), (helpers_expensive, beta2_sym))
+        for helper in helpers
+    ]
+    n_received = sum(count for _, count in sends)
+    # one draw for every coefficient, in the order of the per-row calls: helpers' sends, then new rows
+    coeffs = field.draw(rng, sum(len(rows) * count for rows, count in sends) + state.alpha_sym * n_received)
+    start = 0
     received: list[Sequence[int]] = []
-    for helpers, count in ((helpers_cheap, beta1_sym), (helpers_expensive, beta2_sym)):
-        for helper in helpers:
-            source_rows = [field.row(row) for row in state.nodes[helper].rows]
-            for _ in range(count):
-                received.append(field.combine(source_rows, width, rng))
-    new_rows = tuple(tuple(field.combine(received, width, rng)) for _ in range(state.alpha_sym))
+    for source_rows, count in sends:
+        for _ in range(count):
+            received.append(field.combine(source_rows, width, coeffs[start : start + len(source_rows)]))
+            start += len(source_rows)
+    new_rows = []
+    for _ in range(state.alpha_sym):
+        new_rows.append(tuple(field.combine(received, width, coeffs[start : start + n_received])))
+        start += n_received
     nodes = list(state.nodes)
-    nodes[failed_node] = NodeState(rows=new_rows, tier=state.nodes[failed_node].tier)
+    nodes[failed_node] = NodeState(rows=tuple(new_rows), tier=state.nodes[failed_node].tier)
     return StorageState(
         nodes=tuple(nodes),
         file_len=state.file_len,
@@ -368,19 +419,16 @@ def run_trial(
         )
     alpha_sym = as_count(alpha_sym, "alpha_sym")
     beta2_sym = as_count(beta2_sym, "beta2_sym")
-    num_failures = as_count(num_failures, "num_failures")
     max_subsets = as_count(max_subsets, "max_subsets", minimum=1)
     beta1_sym = int(params.kprime) * beta2_sym
-    n, k, d1, d2 = params.n, params.k, params.d1, params.d2
-    n_cheap = n - d2 if n_cheap is None else as_count(n_cheap, "n_cheap")
-    if not d1 <= n_cheap <= n - d2:
-        raise InsufficientHelpersError(
-            f"n_cheap={n_cheap} cannot supply d1={d1} cheap and d2={d2} expensive helpers"
-        )
-    tiers = tuple(CHEAP if i < n_cheap else EXPENSIVE for i in range(n))
+    n, k = params.n, params.k
+    if n_cheap is None:
+        n_cheap = n - params.d2
     rng = Random(seed)
-    state = encode_initial(int(params.file_size), n, alpha_sym, field, rng.getrandbits(32), tiers)
+    # checks n_cheap and num_failures; the events are drawn only as the loop below asks for them
     history = repair_history(params, n_cheap, num_failures, rng, worst_case=helper_mode == "worst-case")
+    tiers = tuple(CHEAP if i < n_cheap else EXPENSIVE for i in range(n))
+    state = encode_initial(int(params.file_size), n, alpha_sym, field, rng.getrandbits(32), tiers)
     for failed, cheap, expensive in history:
         state = repair(state, failed, cheap, expensive, beta1_sym, beta2_sym, rng)
     checks = tuple(

@@ -35,6 +35,7 @@ from .params import (
     RationalLike,
     Scenario,
     SystemParams,
+    as_count,
     as_fraction,
     as_nonnegative,
     repair_bandwidth,
@@ -72,8 +73,8 @@ def _checked_single_tier(file_size: RationalLike, k: int, d: int) -> tuple[Fract
     M = as_fraction(file_size, "file_size")
     if M <= 0:
         raise NonPositiveError(f"file_size must be positive, got {M}")
-    if k < 1:
-        raise NonPositiveError(f"k must be at least 1, got {k}")
+    k = as_count(k, "k", minimum=1)
+    d = as_count(d, "d")
     if d < k:
         raise InvalidDegreeError(f"d must reach k, got d={d}, k={k}")
     return M, k, d

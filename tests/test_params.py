@@ -6,9 +6,11 @@ import pytest
 from conftest import make_params
 from regencost import (
     CodePoint,
+    InvalidConstructionError,
     InvalidCostOrderError,
     InvalidDegreeError,
     InvalidRatioError,
+    NonIntegerDownloadError,
     NonPositiveError,
     Scenario,
     UsageError,
@@ -177,6 +179,24 @@ def test_repair_history_always_has_a_failable_node_and_full_pools():
                 assert len(set(cheap_helpers)) == d1 and len(set(expensive_helpers)) == d2
         configs += 1
     assert configs > 500
+
+
+def test_repair_history_checks_its_counts_before_any_draw():
+    params = make_params(2, 2, 1, n=4)
+    for n_cheap, failures, error in (
+        (2.5, 1, NonIntegerDownloadError),
+        (True, 1, NonIntegerDownloadError),
+        (2, "1", NonIntegerDownloadError),
+        (2, -1, NonPositiveError),
+        (0, 1, InvalidConstructionError),  # fewer cheap nodes than d1
+        (4, 1, InvalidConstructionError),  # too few expensive nodes for d2
+    ):
+        rng = Random(0)
+        state = rng.getstate()
+        with pytest.raises(error):
+            repair_history(params, n_cheap, failures, rng)  # raises on the call, not on iteration
+        assert rng.getstate() == state
+    assert list(repair_history(params, 2, 0, Random(0))) == []
 
 
 def test_repair_history_worst_case_draws_only_the_failed_nodes():

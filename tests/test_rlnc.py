@@ -10,6 +10,7 @@ from regencost.cutflow import random_history_graph
 from regencost.errors import (
     InsufficientHelpersError,
     InvalidChoiceError,
+    InvalidConstructionError,
     NonIntegerDownloadError,
     NonPositiveError,
     UnknownNodeError,
@@ -107,6 +108,47 @@ def test_primefield_rejects_composite_order():
             PrimeField(order)
 
 
+_DRAW_COUNTS = (0, 1, 12, 22, 528, 10800)
+
+
+def test_bytefield_draw_is_the_randrange_stream():
+    # a change of CPython's randrange(256) shows here, before any seeded digest drifts
+    for seed, count in product(range(60), _DRAW_COUNTS):
+        bulk, single = Random(seed), Random(seed)
+        drawn = GF256.draw(bulk, count)
+        assert drawn == bytes(single.randrange(256) for _ in range(count)), (seed, count)
+        assert bulk.getstate() == single.getstate(), (seed, count)
+
+
+def test_bytefield_draw_never_reads_past_the_last_word_it_needs():
+    # the shared trial rng is drawn from again after each repair
+    rng, reference = Random(5), Random(5)
+    for count in (3, 0, 40, 1, 528, 2):
+        assert GF256.draw(rng, count) == bytes(reference.randrange(256) for _ in range(count))
+        assert rng.random() == reference.random()
+
+
+def test_bytefield_draw_from_a_random_subclass_calls_randrange():
+    class Counting(Random):
+        calls = 0
+
+        def randrange(self, *args):
+            Counting.calls += 1
+            return super().randrange(*args)
+
+    reference = Random(3)
+    assert GF256.draw(Counting(3), 22) == bytes(reference.randrange(256) for _ in range(22))
+    assert Counting.calls == 22
+
+
+def test_primefield_draw_is_the_randrange_stream():
+    field = PrimeField(257)
+    for seed, count in product(range(20), _DRAW_COUNTS):
+        drawn, single = Random(seed), Random(seed)
+        assert list(field.draw(drawn, count)) == [single.randrange(257) for _ in range(count)]
+        assert drawn.getstate() == single.getstate()
+
+
 def test_make_field():
     assert make_field("gf256") is GF256
     assert make_field("p257").order == 257
@@ -169,12 +211,12 @@ def _scalar_rank(rows):
     return rank
 
 
-def _scalar_combination(rows, width, rng):
-    """Reference random combination: one coefficient draw per row, per-element products."""
+def _scalar_combination(rows, width, rng, field=GF256):
+    """Reference random combination: one ``randrange(order)`` per row, per-element products."""
     out = [0] * width
     for row in rows:
-        coeff = rng.randrange(256)
-        out = [v ^ GF256.mul(coeff, x) for v, x in zip(out, row)]
+        coeff = rng.randrange(field.order)
+        out = [field.add(v, field.mul(coeff, x)) for v, x in zip(out, row)]
     return tuple(out)
 
 
@@ -259,17 +301,34 @@ def test_repair_replaces_only_the_failed_node():
 
 
 def test_repair_rows_match_per_element_recomputation():
-    state = encode_initial(6, 5, 3, GF256, seed=4, tiers=("cheap",) * 3 + ("expensive",) * 2)
-    for seed in range(5):
-        repaired = repair(state, 1, [0, 2], [4], beta1_sym=2, beta2_sym=1, rng=Random(seed))
-        rng = Random(seed)
-        received = [
-            _scalar_combination(state.nodes[helper].rows, 6, rng)
-            for helper, count in ((0, 2), (2, 2), (4, 1))
-            for _ in range(count)
+    # repair draws all its coefficients at once; its rows, and the rng it leaves
+    # behind, must be those of one randrange(order) per coefficient, in order
+    for field in (GF256, PrimeField(257)):
+        state = encode_initial(6, 5, 3, field, seed=4, tiers=("cheap",) * 3 + ("expensive",) * 2)
+        for seed in range(5):
+            rng = Random(seed)
+            rng.getrandbits(seed)  # start mid-stream, as a trial's repairs do
+            reference = Random()
+            reference.setstate(rng.getstate())
+            repaired = repair(state, 1, [0, 2], [4], beta1_sym=2, beta2_sym=1, rng=rng)
+            received = [
+                _scalar_combination(state.nodes[helper].rows, 6, reference, field)
+                for helper, count in ((0, 2), (2, 2), (4, 1))
+                for _ in range(count)
+            ]
+            expected = tuple(_scalar_combination(received, 6, reference, field) for _ in range(state.alpha_sym))
+            assert repaired.nodes[1].rows == expected
+            assert rng.getstate() == reference.getstate()
+
+
+def test_encode_initial_rows_are_per_coefficient_draws():
+    for field in (GF256, PrimeField(257)):
+        state = encode_initial(4, 3, 2, field, seed=7)
+        rng = Random(7)
+        assert [row for node in state.nodes for row in node.rows] == [
+            tuple(rng.randrange(field.order) for _ in range(4)) for _ in range(3 * 2)
         ]
-        expected = tuple(_scalar_combination(received, 6, rng) for _ in range(state.alpha_sym))
-        assert repaired.nodes[1].rows == expected
+        assert all(type(v) is int for node in state.nodes for row in node.rows for v in row)
 
 
 def test_repair_validates_helpers():
@@ -431,9 +490,9 @@ def test_run_trial_validation():
         )
     with pytest.raises(NonIntegerDownloadError):
         run_trial(GMBR_PARAMS, alpha_sym=F(5, 2), beta2_sym=1, num_failures=1, seed=0)
-    with pytest.raises(InsufficientHelpersError):
+    with pytest.raises(InvalidConstructionError):
         run_trial(GMBR_PARAMS, alpha_sym=5, beta2_sym=1, num_failures=1, seed=0, n_cheap=1)
-    with pytest.raises(InsufficientHelpersError):
+    with pytest.raises(InvalidConstructionError):
         run_trial(GMBR_PARAMS, alpha_sym=5, beta2_sym=1, num_failures=1, seed=0, n_cheap=4)
     for n_cheap in (2.5, True, "3"):
         with pytest.raises(NonIntegerDownloadError, match="n_cheap must be an integer count"):

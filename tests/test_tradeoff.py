@@ -10,6 +10,7 @@ from regencost import (
     InsufficientRepairBandwidthError,
     InvalidChoiceError,
     InvalidDegreeError,
+    NonIntegerDownloadError,
     NonPositiveError,
     NotApplicableError,
     alpha_min,
@@ -75,6 +76,15 @@ def test_single_tier_validation():
         mbr_point(0, 2, 3)
     with pytest.raises(NonPositiveError):
         msr_point(1, 0, 3)
+
+
+@pytest.mark.parametrize("point", [msr_point, mbr_point])
+def test_single_tier_k_and_d_must_be_whole_counts(point):
+    for k, d in (("2", 3), (2.0, 3), (2, 3.0), (True, 3), (2, None)):
+        with pytest.raises(NonIntegerDownloadError, match="must be an integer count"):
+            point(1, k, d)
+    with pytest.raises(NonPositiveError, match="k must be at least 1"):
+        point(1, 0, 3)
 
 
 # ---------------------------------------------------------------------------

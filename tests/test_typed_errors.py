@@ -87,8 +87,9 @@ def test_public_calls_raise_only_typed_errors(counts, rationals, params, beta2, 
     kprime, file_size, cost_cheap, cost_expensive = rationals
     _check(validate_params, n, k, d1, d2, kprime, file_size, cost_cheap, cost_expensive)
     _check(validate_params, *astuple(params))
-    _check(tradeoff.msr_point, file_size, params.k, params.d)
-    _check(tradeoff.mbr_point, file_size, params.k, params.d)
+    for point in (tradeoff.msr_point, tradeoff.mbr_point):
+        _check(point, file_size, params.k, params.d)
+        _check(point, file_size, k, d1)  # raw k and d
     for call in (tradeoff.beta2_min, tradeoff.tradeoff_curve, tradeoff.gmsr_point, tradeoff.gmbr_point):
         _check(call, params)
     for call in (tradeoff.alpha_min, tradeoff.operating_point, cutflow.alpha_min_oracle, repair_bandwidth, total_cost):
