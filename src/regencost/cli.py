@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
 from . import cutflow, rlnc, tradeoff
-from .errors import NonPositiveError, NotApplicableError, RegenError
+from .errors import NonPositiveError, NotApplicableError, RegenError, UsageError
 from .params import CodePoint, SystemParams, as_fraction, total_cost
 
 # one row per system-parameter flag: (flag, SystemParams field, argparse type, help)
@@ -61,6 +61,9 @@ _FIGURE_KPRIMES = range(1, 21)
 # largest curve --samples and ratio --kprime-range length; the rows are built in memory before any prints
 _MAX_SAMPLES = 100_000
 
+# smallest positive normal float; below it a float's precision falls off, to none under about 5e-324
+_FLOAT_MIN = sys.float_info.min
+
 
 def _exact(value: Fraction | None) -> str:
     if value is None:
@@ -77,13 +80,18 @@ def _decimal(value: Fraction | None) -> str:
     if value is None:
         return ""
     try:
-        return f"{float(value):.12g}"
+        approx = float(value)
     except OverflowError:
-        # beyond the float range: round the exact value to 12 digits, printed in the same style
-        with localcontext() as context:
-            context.prec = 12
-            rounded = Decimal(value.numerator) / value.denominator
-        return f"{rounded.normalize():g}"
+        pass
+    else:
+        if abs(approx) >= _FLOAT_MIN or not value:
+            return f"{approx:.12g}"
+    # beyond the float range, or nonzero below its normal range where a float keeps fewer digits
+    # or none: round the exact value to 12 digits, printed in the same style
+    with localcontext() as context:
+        context.prec = 12
+        rounded = Decimal(value.numerator) / value.denominator
+    return f"{rounded.normalize():g}"
 
 
 def _write_csv(stream: TextIO, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
@@ -388,7 +396,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
     field = rlnc.make_field(args.field)
-    seed = args.seed if args.seed is not None else int(os.environ.get("REGEN_SEED", "0"))
+    seed = args.seed
+    if seed is None:
+        env_seed = os.environ.get("REGEN_SEED", "0")
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            raise UsageError(f"REGEN_SEED must be an integer, got {env_seed!r}") from None
     if args.trials < 1:
         raise NonPositiveError(f"trials must be at least 1, got {args.trials}")
     trials = [

@@ -3,10 +3,10 @@
 Nodes store random linear combinations of the file symbols; only the
 coefficient vectors are tracked, since reconstruction is a rank question.
 The default field is GF(256) with reduction polynomial 0x11D, whose rows
-are handled whole as ``bytes``; a prime field mode (mod 257) keeps
-per-element arithmetic to cross-check the byte-field one.  Each field
-supplies the coefficient draw (``draw``) and the row operations (``row``,
-``combine``, ``rank``) that the repair and reconstruction code calls.
+are ``bytes`` handled whole; a prime field mode (mod 257) keeps int-tuple
+rows and per-element arithmetic to cross-check it.  Each field supplies
+the draw, ``combine`` and ``rank``; rows stay in the field's own form from
+draw to rank, and ``tuple(row)`` gives the int form of either.
 
 Coefficients are drawn in bulk: ``encode_initial`` and each ``repair``
 make one ``field.draw`` for all of their coefficients.  For a
@@ -123,12 +123,8 @@ class ByteField:
             out += _or_bytes(high, low)
         return out
 
-    def row(self, values: Sequence[int]) -> bytes:
-        """The field's working form of a coefficient row."""
-        return bytes(values)
-
     def combine(self, rows: Sequence[bytes], width: int, coeffs: Sequence[int]) -> bytes:
-        """The combination of working rows with ``coeffs``, one coefficient per row."""
+        """The combination of rows with ``coeffs``, one coefficient per row."""
         tables = self.mul_tables
         acc = 0
         for row, coeff in zip(rows, coeffs):
@@ -186,12 +182,9 @@ class PrimeField:
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
-    def draw(self, rng: Random, count: int) -> list[int]:
+    def draw(self, rng: Random, count: int) -> tuple[int, ...]:
         """``count`` calls of ``rng.randrange(order)``, one at a time: the reference draw."""
-        return [rng.randrange(self.order) for _ in range(count)]
-
-    def row(self, values: Sequence[int]) -> tuple[int, ...]:
-        return tuple(values)
+        return tuple(rng.randrange(self.order) for _ in range(count))
 
     def combine(self, rows: Sequence[Sequence[int]], width: int, coeffs: Sequence[int]) -> tuple[int, ...]:
         out = [0] * width
@@ -246,9 +239,10 @@ def matrix_rank(rows: Sequence[Sequence[int]], field: Field) -> int:
 
 @dataclass(frozen=True)
 class NodeState:
-    """Coefficient rows held by one node, plus its download-cost tier."""
+    """Coefficient rows held by one node, in the field's own form (``bytes`` for
+    GF(256), int tuples for prime fields; ``tuple(row)`` is the int form), plus its tier."""
 
-    rows: tuple[tuple[int, ...], ...]
+    rows: tuple[Sequence[int], ...]
     tier: str  # "cheap" | "expensive"
 
 
@@ -277,7 +271,7 @@ def encode_initial(
     if len(tiers) != n or any(t not in (CHEAP, EXPENSIVE) for t in tiers):
         raise InsufficientHelpersError(f"tiers must be {n} entries of 'cheap'/'expensive'")
     coeffs = field.draw(Random(seed), n * alpha_sym * file_len)
-    rows = [tuple(coeffs[i : i + file_len]) for i in range(0, len(coeffs), file_len)]
+    rows = [coeffs[i : i + file_len] for i in range(0, len(coeffs), file_len)]
     nodes = tuple(
         NodeState(rows=tuple(rows[j * alpha_sym : (j + 1) * alpha_sym]), tier=tier)
         for j, tier in enumerate(tiers)
@@ -318,7 +312,7 @@ def repair(
                 )
     field, width = state.field, state.file_len
     sends = [
-        ([field.row(row) for row in state.nodes[helper].rows], count)
+        (state.nodes[helper].rows, count)
         for helpers, count in ((helpers_cheap, beta1_sym), (helpers_expensive, beta2_sym))
         for helper in helpers
     ]
@@ -333,7 +327,7 @@ def repair(
             start += len(source_rows)
     new_rows = []
     for _ in range(state.alpha_sym):
-        new_rows.append(tuple(field.combine(received, width, coeffs[start : start + n_received])))
+        new_rows.append(field.combine(received, width, coeffs[start : start + n_received]))
         start += n_received
     nodes = list(state.nodes)
     nodes[failed_node] = NodeState(rows=tuple(new_rows), tier=state.nodes[failed_node].tier)
@@ -352,7 +346,7 @@ def _check_node(state: StorageState, node: int) -> None:
 
 def can_reconstruct(state: StorageState, node_ids: Sequence[int]) -> bool:
     """True when the stacked rows of the chosen nodes span the whole file."""
-    rows: list[tuple[int, ...]] = []
+    rows: list[Sequence[int]] = []
     for node in node_ids:
         _check_node(state, node)
         rows.extend(state.nodes[node].rows)

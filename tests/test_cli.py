@@ -208,6 +208,33 @@ def test_big_decimals_match_the_float_style(capsys):
     assert decimals["gamma"] == "9.25925917593e+413"  # 9.259259175925875e+413
 
 
+@pytest.mark.parametrize(
+    "value, decimal",
+    [
+        (F(1, 10**320), "1e-320"),
+        (F(1, 3 * 10**320), "3.33333333333e-321"),
+        (F(-1, 10**400), "-1e-400"),
+        (F(1, 2 * 10**400), "5e-401"),
+        # from float's smallest normal value up, the float path prints as before
+        (F(sys.float_info.min), "2.22507385851e-308"),
+        (-F(sys.float_info.min), "-2.22507385851e-308"),
+        (F(0), "0"),
+    ],
+)
+def test_tiny_decimals_keep_twelve_digits(value, decimal):
+    # below float's normal range a float keeps fewer digits, or none: round the exact value instead
+    assert cli._decimal(value) == decimal
+
+
+def test_tiny_decimals_in_the_point_csv(capsys):
+    code, out, err = run_cli(["point", "--kind", "msr", *A_SMALL_FLAGS[:-2], "--M", "1e-400"], capsys)
+    assert code == 0 and err == ""
+    decimals = {row[0]: row[2] for row in parse_csv(out)[1]}
+    assert decimals["alpha"] == "5e-401"
+    assert decimals["beta1"] == decimals["beta2"] == "2.5e-401"
+    assert decimals["gamma"] == decimals["cost"] == "7.5e-401"
+
+
 @pytest.mark.parametrize("k, M", [(2, "1e5000"), (3, "1e5000"), (2, "1e-5000")])
 def test_exact_values_beyond_the_int_string_limit(k, M, capsys):
     # str() of an int over 4300 digits raises by default; the exact column must not
@@ -489,6 +516,13 @@ def test_simulate_seed_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("REGEN_SEED", "99")
     code, overridden, _ = run_cli([*argv, "--seed", "7"], capsys)
     assert from_env == overridden  # explicit --seed wins over the environment
+
+
+def test_simulate_rejects_a_non_integer_seed_variable(capsys, monkeypatch):
+    monkeypatch.setenv("REGEN_SEED", "x")
+    code, out, err = run_cli(["simulate", *SIM_FLAGS, "--alpha-sym", "5", "--beta2-sym", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: Usage: REGEN_SEED must be an integer, got 'x'\n"
 
 
 def test_simulate_below_rank_bound_reports_zero(capsys):

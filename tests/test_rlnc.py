@@ -317,7 +317,7 @@ def test_repair_rows_match_per_element_recomputation():
                 for _ in range(count)
             ]
             expected = tuple(_scalar_combination(received, 6, reference, field) for _ in range(state.alpha_sym))
-            assert repaired.nodes[1].rows == expected
+            assert tuple(tuple(row) for row in repaired.nodes[1].rows) == expected
             assert rng.getstate() == reference.getstate()
 
 
@@ -325,10 +325,28 @@ def test_encode_initial_rows_are_per_coefficient_draws():
     for field in (GF256, PrimeField(257)):
         state = encode_initial(4, 3, 2, field, seed=7)
         rng = Random(7)
-        assert [row for node in state.nodes for row in node.rows] == [
+        assert [tuple(row) for node in state.nodes for row in node.rows] == [
             tuple(rng.randrange(field.order) for _ in range(4)) for _ in range(3 * 2)
         ]
         assert all(type(v) is int for node in state.nodes for row in node.rows for v in row)
+
+
+@pytest.mark.parametrize("field, row_type", [(GF256, bytes), (PrimeField(257), tuple)], ids=["gf256", "p257"])
+def test_stored_rows_are_the_fields_own_rows(field, row_type):
+    # rows stay in the field's own form from draw to rank: bytes for GF(256), int tuples for p257
+    def assert_rows(state):
+        rows = [row for node in state.nodes for row in node.rows]
+        assert len(rows) == 5 * 3
+        assert all(type(row) is row_type and len(row) == 6 for row in rows)
+        assert all(type(v) is int and 0 <= v < field.order for row in rows for v in row)
+
+    state = encode_initial(6, 5, 3, field, seed=4, tiers=("cheap",) * 3 + ("expensive",) * 2)
+    assert_rows(state)
+    rng = Random(1)
+    state = repair(state, 1, [0, 2], [4], beta1_sym=2, beta2_sym=1, rng=rng)
+    assert_rows(state)
+    state = repair(state, 3, [1], [4], beta1_sym=2, beta2_sym=1, rng=rng)
+    assert_rows(state)
 
 
 def test_repair_validates_helpers():
