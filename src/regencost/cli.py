@@ -303,7 +303,7 @@ def _report_payload(report: cutflow.CutReport) -> dict[str, object]:
         "beta2": _exact(report.beta2),
         "alpha_closed": None if report.alpha_closed is None else _exact(report.alpha_closed),
         "alpha_oracle": None if report.alpha_oracle is None else _exact(report.alpha_oracle),
-        "maxflow_at_alpha": None if report.maxflow_at_alpha is None else _exact(report.maxflow_at_alpha),
+        "maxflow_at_alpha": _exact(report.maxflow_at_alpha),
         "agree": report.agree,
         "flow_ok": report.flow_ok,
     }
@@ -425,14 +425,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.format == "json":
         payload = {
             "config": {
-                "n": params.n,
-                "k": params.k,
-                "d1": params.d1,
-                "d2": params.d2,
-                "kprime": _exact(params.kprime),
-                "M": _exact(params.file_size),
-                "c1": _exact(params.cost_cheap),
-                "c2": _exact(params.cost_expensive),
+                **{
+                    flag: getattr(params, field) if kind is int else _exact(getattr(params, field))
+                    for flag, field, kind, _ in _PARAM_FLAGS
+                },
                 "alpha_sym": args.alpha_sym,
                 "beta2_sym": args.beta2_sym,
                 "failures": args.failures,
@@ -475,10 +471,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_graph(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
-    alpha = as_fraction(args.alpha, "alpha") if args.alpha is not None else tradeoff.alpha_min(
-        params, as_fraction(args.beta2, "beta2")
-    )
-    print(cutflow.to_edge_list(cutflow.build_gstar(params, alpha, as_fraction(args.beta2, "beta2"))))
+    alpha = None if args.alpha is None else as_fraction(args.alpha, "alpha")
+    beta2 = as_fraction(args.beta2, "beta2")
+    if alpha is None:
+        alpha = tradeoff.alpha_min(params, beta2)
+    print(cutflow.to_edge_list(cutflow.build_gstar(params, alpha, beta2)))
     return 0
 
 
@@ -645,7 +642,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except RegenError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: Usage: {exc}", file=sys.stderr)
         return 2
 

@@ -94,42 +94,41 @@ class FlowEdge:
     capacity: Fraction | None  # None marks an unbounded edge
 
 
+# the terminals of every flow graph
+SOURCE = "S"
+SINK = "DC"
+
+
 @dataclass(frozen=True)
 class FlowGraph:
-    """A repair history as a capacitated DAG from source to data collector."""
+    """A repair history as a capacitated DAG from SOURCE to SINK: just its edges."""
 
-    nodes: tuple[tuple[str, str], ...]  # (node id, role)
     edges: tuple[FlowEdge, ...]
-    source: str = "S"
-    sink: str = "DC"
 
-    def roles(self) -> dict[str, str]:
-        return dict(self.nodes)
+    @property
+    def nodes(self) -> tuple[str, ...]:
+        """SOURCE and SINK, then every other edge end in order of first appearance."""
+        ends = (name for edge in self.edges for name in (edge.tail, edge.head))
+        return tuple(dict.fromkeys((SOURCE, SINK, *ends)))
 
 
 class _GraphBuilder:
     def __init__(self, alpha: Fraction) -> None:
         self.alpha = alpha
-        self.nodes: list[tuple[str, str]] = [("S", "source"), ("DC", "dc")]
         self.edges: list[FlowEdge] = []
 
     def add_storage(self, name: str, from_source: bool) -> str:
         """Add an in/out pair joined by the alpha edge; return the node name."""
-        self.nodes.append((f"{name}.in", "storage_in"))
-        self.nodes.append((f"{name}.out", "storage_out"))
         self.edges.append(FlowEdge(f"{name}.in", f"{name}.out", self.alpha))
         if from_source:
-            self.edges.append(FlowEdge("S", f"{name}.in", None))
+            self.edges.append(FlowEdge(SOURCE, f"{name}.in", None))
         return name
 
     def add_download(self, helper: str, newcomer: str, amount: Fraction) -> None:
         self.edges.append(FlowEdge(f"{helper}.out", f"{newcomer}.in", amount))
 
     def add_collector_read(self, name: str) -> None:
-        self.edges.append(FlowEdge(f"{name}.out", "DC", None))
-
-    def build(self) -> FlowGraph:
-        return FlowGraph(nodes=tuple(self.nodes), edges=tuple(self.edges))
+        self.edges.append(FlowEdge(f"{name}.out", SINK, None))
 
 
 def build_gstar(params: SystemParams, alpha: RationalLike, beta2: RationalLike) -> FlowGraph:
@@ -168,7 +167,7 @@ def build_gstar(params: SystemParams, alpha: RationalLike, beta2: RationalLike) 
                 builder.add_download(helper, name, b2)
         builder.add_collector_read(name)
         newcomers.append(name)
-    return builder.build()
+    return FlowGraph(edges=tuple(builder.edges))
 
 
 def max_flow(graph: FlowGraph) -> Fraction:
@@ -190,17 +189,16 @@ def max_flow(graph: FlowGraph) -> Fraction:
     node that cannot reach the sink has nowhere to go, so dropping those
     pairs leaves the value as it is.
     """
-    source, sink = graph.source, graph.sink
     scale = math.lcm(
         1, *(edge.capacity.denominator for edge in graph.edges if edge.capacity is not None)
     )
     side: dict[str, str] = {}
     for edge in graph.edges:
         if edge.capacity is None:
-            if edge.tail == source and edge.head not in (source, sink):
-                side[edge.head] = source
-            elif edge.head == sink and edge.tail not in (source, sink):
-                side.setdefault(edge.tail, sink)
+            if edge.tail == SOURCE and edge.head not in (SOURCE, SINK):
+                side[edge.head] = SOURCE
+            elif edge.head == SINK and edge.tail not in (SOURCE, SINK):
+                side.setdefault(edge.tail, SINK)
     capacities: dict[tuple[str, str], int] = {}
     finite_total = 0
     unbounded: list[tuple[str, str]] = []
@@ -210,7 +208,7 @@ def max_flow(graph: FlowGraph) -> Fraction:
             finite_total += scaled
         tail = side.get(edge.tail, edge.tail)
         head = side.get(edge.head, edge.head)
-        if tail == head or head == source or tail == sink:
+        if tail == head or head == SOURCE or tail == SINK:
             continue
         key = (tail, head)
         if edge.capacity is None:
@@ -224,8 +222,8 @@ def max_flow(graph: FlowGraph) -> Fraction:
     for (tail, head), capacity in capacities.items():
         if capacity > 0:
             tails_into.setdefault(head, []).append(tail)
-    reaches_sink = {sink}
-    stack = [sink]
+    reaches_sink = {SINK}
+    stack = [SINK]
     while stack:
         for tail in tails_into.get(stack.pop(), ()):
             if tail not in reaches_sink:
@@ -239,7 +237,7 @@ def max_flow(graph: FlowGraph) -> Fraction:
     # Edmonds-Karp's residual network, built directly: each pair beside its reverse,
     # which has capacity 0 unless it is a pair of its own
     residual = nx.DiGraph()
-    residual.add_nodes_from((source, sink))
+    residual.add_nodes_from((SOURCE, SINK))
     residual.add_edges_from(
         (tail, head, {"capacity": capacity}) for (tail, head), capacity in kept.items()
     )
@@ -249,7 +247,7 @@ def max_flow(graph: FlowGraph) -> Fraction:
     # networkx's stand-in for an infinite capacity; no augmenting path can carry half of it
     residual.graph["inf"] = 3 * sum(kept.values()) or 1
     value = nx.maximum_flow_value(
-        residual, source, sink, flow_func=edmonds_karp, residual=residual
+        residual, SOURCE, SINK, flow_func=edmonds_karp, residual=residual
     )
     return Fraction(value, scale)
 
@@ -281,7 +279,7 @@ class CutReport:
     beta2: Fraction
     alpha_closed: Fraction | None
     alpha_oracle: Fraction | None
-    maxflow_at_alpha: Fraction | None
+    maxflow_at_alpha: Fraction
     agree: bool
     flow_ok: bool
 
@@ -349,7 +347,6 @@ def verification_sweep(
     max_k: int = 5,
     max_d: int = 7,
     kprimes: Sequence[int] = (1, 2, 3, 5),
-    file_size: RationalLike = 1,
 ) -> Iterator[SystemParams]:
     """Every (k, d1, d2, kprime) with k <= max_k, k <= d1+d2 <= max_d; n = d+1."""
     for k in range(1, max_k + 1):
@@ -364,7 +361,6 @@ def verification_sweep(
                         d1=d1,
                         d2=d2,
                         kprime=Fraction(kprime),
-                        file_size=file_size,
                         cost_expensive=Fraction(2),
                     )
 
@@ -405,4 +401,4 @@ def random_history_graph(
         live[failed] = name
     for reader in rng.sample(sorted(live), params.k):
         builder.add_collector_read(live[reader])
-    return builder.build()
+    return FlowGraph(edges=tuple(builder.edges))

@@ -18,9 +18,9 @@ seeded trials do not depend on how the coefficients are batched.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 from random import Random
 from typing import Sequence, Union
 
@@ -39,6 +39,10 @@ _BIT7_SET = bytes(range(0x80, 0x100))
 _BIT7 = bytes(b & 0x80 for b in range(256))
 _SHL1 = bytes((b << 1) & 0xFF for b in range(256))
 _SHR7 = bytes(b >> 7 for b in range(256))
+
+
+# largest PrimeField order: a Mersenne prime, checked by at most 46340 trial divisions
+MAX_PRIME_ORDER = 2**31 - 1
 
 
 def _or_bytes(a: bytes, b: bytes) -> bytes:
@@ -82,9 +86,6 @@ class ByteField:
     def add(self, a: int, b: int) -> int:
         return a ^ b
 
-    def sub(self, a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -94,9 +95,6 @@ class ByteField:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
         return self._exp[255 - self._log[a]]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def draw(self, rng: Random, count: int) -> bytes:
         """``count`` coefficients, the same as ``count`` calls of ``rng.randrange(256)``.
@@ -135,8 +133,14 @@ class ByteField:
     def rank(self, rows: Sequence[Sequence[int]]) -> int:
         """Rank by Gaussian elimination; each step is one translate and one xor."""
         tables = self.mul_tables
-        work = [bytes(row) for row in rows]
+        try:
+            # iter() keeps an int row from becoming that many zero bytes
+            work = [row if type(row) is bytes else bytes(iter(row)) for row in rows]
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"gf256 rows must hold ints in 0..255: {exc}") from None
         width = len(work[0]) if work else 0
+        if any(len(row) != width for row in work):
+            raise UsageError(f"rows must all have the first row's length {width}")
         rank = 0
         for col in range(width):
             pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
@@ -157,10 +161,13 @@ class ByteField:
 
 
 class PrimeField:
-    """Integers modulo a prime."""
+    """Integers modulo a prime of at most MAX_PRIME_ORDER."""
 
     def __init__(self, order: int = 257) -> None:
-        if not isinstance(order, int) or order < 2 or any(order % p == 0 for p in range(2, int(order**0.5) + 1)):
+        if isinstance(order, int) and abs(order) > MAX_PRIME_ORDER:
+            # the bit length, since printing a long int's digits would itself raise
+            raise UsageError(f"order must be at most {MAX_PRIME_ORDER}, got a {order.bit_length()}-bit int")
+        if not isinstance(order, int) or order < 2 or any(order % p == 0 for p in range(2, isqrt(order) + 1)):
             raise UsageError(f"order must be a prime int, got {order!r}")
         self.order = order
         self.name = f"p{order}"
@@ -179,9 +186,6 @@ class PrimeField:
             raise ZeroDivisionError("0 has no inverse")
         return pow(a, self.order - 2, self.order)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def draw(self, rng: Random, count: int) -> tuple[int, ...]:
         """``count`` calls of ``rng.randrange(order)``, one at a time: the reference draw."""
         return tuple(rng.randrange(self.order) for _ in range(count))
@@ -194,8 +198,15 @@ class PrimeField:
         return tuple(out)
 
     def rank(self, rows: Sequence[Sequence[int]]) -> int:
-        work = [list(row) for row in rows]
+        try:
+            work = [list(row) for row in rows]
+        except TypeError as exc:
+            raise UsageError(f"{self.name} rows must be sequences of ints: {exc}") from None
+        if any(not isinstance(v, int) or not 0 <= v < self.order for row in work for v in row):
+            raise UsageError(f"{self.name} rows must hold ints in 0..{self.order - 1}")
         width = len(work[0]) if work else 0
+        if any(len(row) != width for row in work):
+            raise UsageError(f"rows must all have the first row's length {width}")
         rank = 0
         for col in range(width):
             pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
@@ -221,15 +232,19 @@ GF256 = ByteField()
 
 def make_field(name: str) -> Field:
     """Field from a CLI name: "gf256" or "p<prime>" (e.g. "p257")."""
+    if not isinstance(name, str):
+        raise InvalidChoiceError(f"a field name is a str, got {type(name).__name__}")
     if name == "gf256":
         return GF256
-    if name.startswith("p") and name[1:].isdigit():
-        return PrimeField(int(name[1:]))
+    digits = name[1:]
+    # more digits than MAX_PRIME_ORDER name no field, and int() refuses the longest strings
+    if name.startswith("p") and digits.isascii() and digits.isdigit() and len(digits) <= len(str(MAX_PRIME_ORDER)):
+        return PrimeField(int(digits))
     raise InvalidChoiceError(f"unknown field {name!r}")
 
 
 def matrix_rank(rows: Sequence[Sequence[int]], field: Field) -> int:
-    """Rank by Gaussian elimination over the given field."""
+    """Rank by Gaussian elimination over the given field; ragged rows or entries outside it raise UsageError."""
     return field.rank(rows)
 
 
@@ -270,7 +285,7 @@ def encode_initial(
         tiers = (CHEAP,) * n
     if len(tiers) != n or any(t not in (CHEAP, EXPENSIVE) for t in tiers):
         raise InsufficientHelpersError(f"tiers must be {n} entries of 'cheap'/'expensive'")
-    coeffs = field.draw(Random(seed), n * alpha_sym * file_len)
+    coeffs = field.draw(Random(_as_seed(seed)), n * alpha_sym * file_len)
     rows = [coeffs[i : i + file_len] for i in range(0, len(coeffs), file_len)]
     nodes = tuple(
         NodeState(rows=tuple(rows[j * alpha_sym : (j + 1) * alpha_sym]), tier=tier)
@@ -331,12 +346,14 @@ def repair(
         start += n_received
     nodes = list(state.nodes)
     nodes[failed_node] = NodeState(rows=tuple(new_rows), tier=state.nodes[failed_node].tier)
-    return StorageState(
-        nodes=tuple(nodes),
-        file_len=state.file_len,
-        alpha_sym=state.alpha_sym,
-        field=state.field,
-    )
+    return replace(state, nodes=tuple(nodes))
+
+
+def _as_seed(seed: int) -> int:
+    """An int seed, negatives included; None, which would seed from the OS, and bools are refused."""
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise UsageError(f"seed must be an int, got {seed!r}")
+    return seed
 
 
 def _check_node(state: StorageState, node: int) -> None:
@@ -386,7 +403,7 @@ def run_trial(
     beta2_sym: int,
     num_failures: int,
     seed: int,
-    field: Field | None = None,
+    field: Field = GF256,
     n_cheap: int | None = None,
     helper_mode: str = "uniform",
     max_subsets: int = 100,
@@ -399,8 +416,6 @@ def run_trial(
     of k-subsets exceeds ``max_subsets``, a seeded sample is checked
     instead of all of them.
     """
-    if field is None:
-        field = GF256
     if helper_mode not in ("uniform", "worst-case"):
         raise InvalidChoiceError(f"helper_mode must be 'uniform' or 'worst-case', got {helper_mode!r}")
     if params.kprime.denominator != 1:
@@ -418,7 +433,7 @@ def run_trial(
     n, k = params.n, params.k
     if n_cheap is None:
         n_cheap = n - params.d2
-    rng = Random(seed)
+    rng = Random(_as_seed(seed))
     # checks n_cheap and num_failures; the events are drawn only as the loop below asks for them
     history = repair_history(params, n_cheap, num_failures, rng, worst_case=helper_mode == "worst-case")
     tiers = tuple(CHEAP if i < n_cheap else EXPENSIVE for i in range(n))

@@ -250,10 +250,6 @@ def _two_tier_point(params: SystemParams, alpha: Fraction, gamma: Fraction) -> C
     )
 
 
-def _unpack(params: SystemParams):
-    return params.file_size, params.k, params.d, params.d1, params.d2, params.kprime
-
-
 # ---------------------------------------------------------------------------
 # ratios against symmetric repair at the same d
 
@@ -261,7 +257,7 @@ def _unpack(params: SystemParams):
 def bandwidth_ratio(params: SystemParams, kind: str) -> Fraction:
     """gamma(two-tier extremal) / gamma(symmetric extremal), same d and kind."""
     _check_kind(kind)
-    M, k, d, d1, d2, kp = _unpack(params)
+    k, d, d1, d2, kp = params.k, params.d, params.d1, params.d2, params.kprime
     if params.scenario is Scenario.A:
         if kind == "msr":
             return _div((d2 + kp * d1) * (d - k + 1), d * (d1 * kp + d2 - k * kp + kp))
@@ -275,7 +271,7 @@ def bandwidth_ratio(params: SystemParams, kind: str) -> Fraction:
 def cost_ratio(params: SystemParams, kind: str) -> Fraction:
     """Download cost of the two-tier extremal relative to the symmetric one."""
     _check_kind(kind)
-    M, k, d, d1, d2, kp = _unpack(params)
+    k, d, d1, d2, kp = params.k, params.d, params.d1, params.d2, params.kprime
     c1, c2 = params.cost_cheap, params.cost_expensive
     tier_cost = params.cost_per_beta2
     base_cost = c1 * d1 + c2 * d2
@@ -333,17 +329,11 @@ def _div(num: Fraction, den: Fraction) -> Fraction:
 
 @dataclass(frozen=True)
 class TradeoffSegment:
-    """One linear piece: alpha = intercept - slope * beta2 on [beta2_lo, beta2_hi).
-
-    ``beta2_hi`` is None on the unbounded flat branch.  ``segment_index``
-    is 0 on the flat branch and counts up toward beta2_min.
-    """
+    """One linear piece: alpha = intercept - slope * beta2 from beta2_lo to the next piece's; the last has no end."""
 
     beta2_lo: Fraction
-    beta2_hi: Fraction | None
     intercept: Fraction
     slope: Fraction
-    segment_index: int
 
     def alpha_at(self, beta2: Fraction) -> Fraction:
         return self.intercept - self.slope * beta2
@@ -408,10 +398,8 @@ def tradeoff_curve(params: SystemParams) -> TradeoffCurve:
     segments = tuple(
         TradeoffSegment(
             beta2_lo=starts[i],
-            beta2_hi=starts[i - 1] if i else None,
             intercept=M / (k - i),
             slope=_piece_tail2(params, i) / (2 * (k - i)),
-            segment_index=i,
         )
         for i in range(k - 1, -1, -1)
     )

@@ -560,6 +560,15 @@ def test_graph_dump_defaults_to_alpha_min(capsys):
     assert explicit == out
 
 
+def test_graph_reports_a_bad_alpha_before_a_bad_beta2(capsys):
+    code, out, err = run_cli(["graph", "--beta2", "x", "--alpha", "y", *A_SMALL_FLAGS], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: Usage: alpha is not a rational 'p/q' literal: 'y'\n"
+    for argv in (["--beta2", "x", "--alpha", "1"], ["--beta2", "x"]):
+        code, _, err = run_cli(["graph", *argv, *A_SMALL_FLAGS], capsys)
+        assert (code, err) == (2, "error: Usage: beta2 is not a rational 'p/q' literal: 'x'\n")
+
+
 # ---------------------------------------------------------------------------
 # figure sweeps
 

@@ -23,6 +23,8 @@ from regencost import (
 )
 from regencost import cutflow
 from regencost.cutflow import (
+    SINK,
+    SOURCE,
     FlowEdge,
     FlowGraph,
     alpha_min_oracle,
@@ -137,7 +139,7 @@ def _downloads_into(graph, name):
     return sorted(
         (edge.tail, edge.capacity)
         for edge in graph.edges
-        if edge.head == f"{name}.in" and edge.tail != graph.source
+        if edge.head == f"{name}.in" and edge.tail != SOURCE
     )
 
 
@@ -159,8 +161,7 @@ def test_gstar_wiring_scenario_b():
 
 def test_gstar_source_and_collector_edges():
     graph = build_gstar(A_SMALL, F(11, 20), F(3, 20))
-    roles = graph.roles()
-    assert roles["S"] == "source" and roles["DC"] == "dc"
+    assert (SOURCE, SINK) == ("S", "DC") == graph.nodes[:2]
     source_heads = {edge.head for edge in graph.edges if edge.tail == "S"}
     assert source_heads == {"o0.in", "o1.in", "o2.in"}  # newcomers are never source-fed
     collector_tails = {edge.tail for edge in graph.edges if edge.head == "DC"}
@@ -172,9 +173,10 @@ def test_gstar_source_and_collector_edges():
 
 def test_gstar_storage_pairs_and_acyclicity():
     graph = build_gstar(B_SMALL, F(3, 8), F(1, 4))
-    names = [node for node, role in graph.nodes if role == "storage_in"]
+    names = [node for node in graph.nodes if node.endswith(".in")]
     assert names == [f"o{i}.in" for i in range(3)] + [f"x{j}.in" for j in range(3)]
-    order = {node: index for index, (node, _) in enumerate(graph.nodes)}
+    assert len(graph.nodes) == 2 + 2 * len(names)  # the terminals and one in/out pair per stored node
+    order = {node: index for index, node in enumerate(graph.nodes)}
     for edge in graph.edges:
         if edge.tail == "S" or edge.head == "DC":
             continue
@@ -202,7 +204,6 @@ def test_max_flow_tracks_clipped_sum_around_alpha_min():
 
 def test_max_flow_sums_parallel_edges():
     graph = FlowGraph(
-        nodes=(("S", "source"), ("DC", "dc"), ("a.in", "storage_in"), ("a.out", "storage_out")),
         edges=(
             FlowEdge("S", "a.in", None),
             FlowEdge("a.in", "a.out", F(1, 3)),
@@ -224,9 +225,9 @@ def _reference_max_flow(graph):
     bound = 1 + sum(capacities.values())
     capacities.update(dict.fromkeys(((e.tail, e.head) for e in graph.edges if e.capacity is None), bound))
     digraph = nx.DiGraph()
-    digraph.add_nodes_from((graph.source, graph.sink))
+    digraph.add_nodes_from((SOURCE, SINK))
     digraph.add_edges_from((tail, head, {"capacity": capacity}) for (tail, head), capacity in capacities.items())
-    return Fraction(nx.maximum_flow_value(digraph, graph.source, graph.sink), scale)
+    return Fraction(nx.maximum_flow_value(digraph, SOURCE, SINK), scale)
 
 
 def _finite_total(graph):
@@ -234,11 +235,7 @@ def _finite_total(graph):
 
 
 def _graph(*edges):
-    names = sorted({name for tail, head, _ in edges for name in (tail, head)} - {"S", "DC"})
-    return FlowGraph(
-        nodes=(("S", "source"), ("DC", "dc"), *((name, "storage_in") for name in names)),
-        edges=tuple(FlowEdge(tail, head, capacity) for tail, head, capacity in edges),
-    )
+    return FlowGraph(edges=tuple(FlowEdge(tail, head, capacity) for tail, head, capacity in edges))
 
 
 def _gstar_sweep_graphs(**sweep):
@@ -262,14 +259,30 @@ def _history_graphs(seed, count):
         )
 
 
-def test_max_flow_matches_reference_on_gstar_sweep():
-    for where, graph in _gstar_sweep_graphs(max_k=4, max_d=6):
-        assert max_flow(graph) == _reference_max_flow(graph), where
+def _assert_max_flow_matches_reference(monkeypatch, graphs):
+    """max_flow equals the reference on each graph, and never asks networkx for a residual network."""
+    # the reference solve builds a residual network itself, so every reference comes first
+    cases = [(where, graph, _reference_max_flow(graph)) for where, graph in graphs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("max_flow must pass its own residual network")
+
+    monkeypatch.setattr(edmondskarp_module, "build_residual_network", refuse)
+    for where, graph, reference in cases:
+        assert max_flow(graph) == reference, where
 
 
-def test_max_flow_matches_reference_on_random_histories():
-    for index, graph in _history_graphs(2024, 200):
-        assert max_flow(graph) == _reference_max_flow(graph), index
+def test_max_flow_matches_reference_on_gstar_sweep(monkeypatch):
+    _assert_max_flow_matches_reference(monkeypatch, _gstar_sweep_graphs(max_k=4, max_d=6))
+
+
+def test_max_flow_matches_reference_on_random_histories(monkeypatch):
+    graphs = (
+        ((seed, index), graph)
+        for seed, count in ((2024, 200), (77, 40))
+        for index, graph in _history_graphs(seed, count)
+    )
+    _assert_max_flow_matches_reference(monkeypatch, graphs)
 
 
 _NODES = ("S", "DC", "a", "b", "c", "d")
@@ -307,20 +320,6 @@ def test_max_flow_inner_unbounded_edge_keeps_the_bound_rule():
 def test_max_flow_of_empty_graphs_is_zero():
     assert max_flow(_graph()) == 0
     assert max_flow(_graph(("S", "a", None), ("b", "DC", None))) == 0
-
-
-def test_max_flow_never_asks_networkx_for_a_residual_network(monkeypatch):
-    graphs = [
-        graph
-        for _, graph in (*_gstar_sweep_graphs(max_k=4, max_d=5, kprimes=(1, 3)), *_history_graphs(77, 40))
-    ]
-    expected = [_reference_max_flow(graph) for graph in graphs]
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("max_flow must pass its own residual network")
-
-    monkeypatch.setattr(edmondskarp_module, "build_residual_network", refuse)
-    assert [max_flow(graph) for graph in graphs] == expected
 
 
 def _solves(monkeypatch):
@@ -493,7 +492,7 @@ def test_random_history_is_deterministic():
 
 def test_random_history_without_failures_reads_originals():
     graph = random_history_graph(B_SMALL, F(3, 8), F(1, 4), Random(0), failures=0)
-    assert [node for node, role in graph.nodes if role == "storage_in"] == [
+    assert [node for node in graph.nodes if node.endswith(".in")] == [
         f"o{i}.in" for i in range(B_SMALL.n)
     ]
     reads = [edge for edge in graph.edges if edge.head == "DC"]

@@ -18,6 +18,7 @@ from regencost.errors import (
 )
 from regencost.rlnc import (
     GF256,
+    MAX_PRIME_ORDER,
     ByteField,
     PrimeField,
     can_reconstruct,
@@ -74,9 +75,9 @@ def test_bytefield_axioms_sampled():
         assert GF256.add(a, b) == GF256.add(b, a)
         assert GF256.mul(a, GF256.mul(b, c)) == GF256.mul(GF256.mul(a, b), c)
         assert GF256.mul(a, GF256.add(b, c)) == GF256.add(GF256.mul(a, b), GF256.mul(a, c))
-        assert GF256.sub(GF256.add(a, b), b) == a
+        assert GF256.add(GF256.add(a, b), b) == a  # each element is its own negative
         if b:
-            assert GF256.div(GF256.mul(a, b), b) == a
+            assert GF256.mul(GF256.mul(a, b), GF256.inv(b)) == a
 
 
 def test_primefield_axioms_sampled():
@@ -89,7 +90,7 @@ def test_primefield_axioms_sampled():
         assert field.mul(a, field.add(b, c)) == field.add(field.mul(a, b), field.mul(a, c))
         assert field.sub(field.add(a, b), b) == a
         if b % 257:
-            assert field.div(field.mul(a, b), b) == a
+            assert field.mul(field.mul(a, b), field.inv(b)) == a
 
 
 def test_primefield_inverses_small_exhaustive():
@@ -105,6 +106,14 @@ def test_primefield_inverses_small_exhaustive():
 def test_primefield_rejects_composite_order():
     for order in (0, 1, 6, 9, 255, True, 7.0, 2.5, "7"):
         with pytest.raises(UsageError):
+            PrimeField(order)
+
+
+def test_primefield_refuses_an_order_past_the_cap_at_once():
+    assert PrimeField(MAX_PRIME_ORDER).order == MAX_PRIME_ORDER == 2**31 - 1  # the largest, and prime
+    # 2**61 - 1 is prime, but its trial division would run for minutes; 10**400 + 1 overflows a float root
+    for order in (MAX_PRIME_ORDER + 1, 2**61 - 1, 10**400 + 1, -(10**5000)):
+        with pytest.raises(UsageError, match="at most 2147483647"):
             PrimeField(order)
 
 
@@ -153,8 +162,15 @@ def test_make_field():
     assert make_field("gf256") is GF256
     assert make_field("p257").order == 257
     assert make_field("p2").order == 2
-    for name in ("gf16", "257", "p", "p2.5", "GF256", ""):
+    assert make_field("p2147483647").order == MAX_PRIME_ORDER
+    with pytest.raises(UsageError, match="at most 2147483647"):
+        make_field("p2147483648")
+    # "p²" and "p٣" are digits to str.isdigit, not to int; int() refuses more than 4300 digits
+    for name in ("gf16", "257", "p", "p2.5", "GF256", "", "p²", "p٣", "p" + "9" * 11, "p" + "9" * 5000):
         with pytest.raises(InvalidChoiceError, match="unknown field"):
+            make_field(name)
+    for name in (257, None, b"p2", 10**5000):
+        with pytest.raises(InvalidChoiceError, match="a field name is a str"):
             make_field(name)
 
 
@@ -190,6 +206,21 @@ def test_matrix_rank_field_sensitivity():
     rows = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
     assert matrix_rank(rows, PrimeField(2)) == 2  # rows sum to zero mod 2
     assert matrix_rank(rows, PrimeField(257)) == 3
+
+
+def test_matrix_rank_refuses_entries_outside_the_field():
+    for rows, field in (([[300]], GF256), ([[-1]], GF256), ([[257]], PrimeField(257)), ([[2]], PrimeField(2)),
+                        ([[-1]], PrimeField(257)), ([[1.0]], GF256), ([[1.0]], PrimeField(257)),
+                        (["ab"], GF256), (["ab"], PrimeField(257)), ([3], GF256), ([3], PrimeField(257))):
+        with pytest.raises(UsageError, match="rows must"):
+            matrix_rank(rows, field)
+
+
+def test_matrix_rank_refuses_ragged_rows():
+    for field in (GF256, PrimeField(257)):
+        for rows in ([[1, 2], [3]], [[1], [2, 3]], [[], [1]], [b"ab", b"c"]):
+            with pytest.raises(UsageError, match="first row's length"):
+                matrix_rank(rows, field)
 
 
 def _scalar_rank(rows):
@@ -401,6 +432,18 @@ def test_run_trial_is_deterministic():
     assert first.repairs_performed == 3
     assert len(first.checks) == 6  # all 2-subsets of 4 nodes
     assert first != run_trial(GMBR_PARAMS, alpha_sym=5, beta2_sym=1, num_failures=3, seed=43)
+
+
+def test_seeds_must_be_ints():
+    # None would seed from the OS: a "seeded" result that no one could reproduce
+    for seed in (None, True, 1.0, "1", F(1)):
+        with pytest.raises(UsageError, match="seed must be an int"):
+            run_trial(GMBR_PARAMS, alpha_sym=5, beta2_sym=1, num_failures=1, seed=seed)
+        with pytest.raises(UsageError, match="seed must be an int"):
+            encode_initial(4, 3, 2, GF256, seed=seed)
+    negative = run_trial(GMBR_PARAMS, alpha_sym=5, beta2_sym=1, num_failures=1, seed=-3)
+    assert negative.seed == -3
+    assert negative == run_trial(GMBR_PARAMS, alpha_sym=5, beta2_sym=1, num_failures=1, seed=-3)
 
 
 def test_run_trial_at_the_tradeoff_point_mostly_succeeds():

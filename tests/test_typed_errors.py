@@ -104,6 +104,69 @@ def test_public_calls_raise_only_typed_errors(counts, rationals, params, beta2, 
     _check(lambda: rlnc.run_trial(params, alpha_sym, beta2_sym, failures, 0, n_cheap=n_cheap, max_subsets=4))
 
 
+_FIELD_NAMES = st.one_of(
+    st.text(max_size=5),
+    st.text("0123456789²٣", max_size=11).map("p".__add__),  # "²" and "٣" pass str.isdigit
+    st.sampled_from(["gf256", "p257", "p" + "9" * 5000]),
+    st.integers(0, 300),
+    st.none(),
+    st.binary(max_size=3),
+)
+# no large prime here (tests/test_rlnc.py has them): one that slipped past the cap would stall the search
+_ORDERS = st.one_of(
+    st.integers(-3, 300),
+    st.sampled_from([2**31, 2**32 + 2, 10**400 + 1, -(10**5000)]),
+    st.booleans(),
+    st.floats(),
+    st.none(),
+    st.text(max_size=2),
+)
+_SEEDS = st.one_of(st.integers(-(2**70), 2**70), st.none(), st.booleans(), st.floats(), st.text(max_size=2))
+_ENTRIES = st.one_of(st.integers(-2, 300), st.floats(), st.none(), st.text(max_size=1))
+_ROWS = st.one_of(
+    st.none(),
+    st.integers(0, 3).flatmap(
+        lambda width: st.lists(st.lists(st.integers(0, 300), min_size=width, max_size=width), max_size=4)
+    ),
+    st.lists(
+        st.one_of(st.lists(_ENTRIES, max_size=3), st.binary(max_size=3), st.integers(0, 3), st.text(max_size=2)),
+        max_size=4,
+    ),
+)
+_TRIAL_PARAMS = SystemParams(4, 2, 2, 1, kprime=2, file_size=8)
+
+
+def _typed(call, *args, **kwargs):
+    """The call's result, or None when it raised a RegenError."""
+    try:
+        return call(*args, **kwargs)
+    except RegenError:
+        return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=_FIELD_NAMES, order=_ORDERS, seed=_SEEDS, rows=_ROWS, field=st.sampled_from(["gf256", "p257", "p2"]))
+def test_rlnc_inputs_raise_only_typed_errors(name, order, seed, rows, field):
+    made = _typed(rlnc.make_field, name)
+    assert made is None or made is rlnc.GF256 or isinstance(made, rlnc.PrimeField)
+    made = _typed(rlnc.PrimeField, order)
+    assert made is None or made.order == order
+    # a seed is an int, or the call refuses it: None would seed from the OS, unreproducibly
+    seeded = type(seed) is int
+    trial = _typed(rlnc.run_trial, _TRIAL_PARAMS, 5, 1, 1, seed, max_subsets=2)
+    assert trial.seed == seed if seeded else trial is None
+    state = _typed(rlnc.encode_initial, 4, 3, 2, rlnc.GF256, seed)
+    assert (state is not None) == seeded
+    # a rank comes only from rectangular rows of field elements
+    field = rlnc.make_field(field)
+    rank = _typed(rlnc.matrix_rank, rows, field)
+    if rank is not None:
+        ints = [list(row) for row in rows]
+        assert all(len(row) == len(ints[0]) for row in ints), rows
+        assert all(isinstance(v, int) and 0 <= v < field.order for row in ints for v in row), rows
+        assert 0 <= rank <= len(ints)
+
+
 def test_negative_beta2_is_refused_in_one_wording():
     params = SystemParams(4, 2, 2, 1)
     curve = tradeoff.tradeoff_curve(params)
