@@ -32,7 +32,7 @@ from networkx.algorithms.flow import edmonds_karp
 
 from . import tradeoff
 from .errors import InsufficientRepairBandwidthError
-from .params import RationalLike, Scenario, SystemParams, as_nonnegative, repair_history
+from .params import RationalLike, Scenario, SystemParams, as_nonnegative, as_rng, repair_history
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +389,7 @@ def random_history_graph(
     b2 = as_nonnegative(beta2, "beta2")
     b1 = params.kprime * b2
     if n_cheap is None:
-        n_cheap = rng.randint(params.d1, params.n - params.d2)
+        n_cheap = as_rng(rng).randint(params.d1, params.n - params.d2)
     history = repair_history(params, n_cheap, failures, rng)
     builder = _GraphBuilder(a)
     live = {i: builder.add_storage(f"o{i}", from_source=True) for i in range(params.n)}

@@ -70,6 +70,13 @@ def as_count(value: int, what: str, minimum: int = 0) -> int:
     return value
 
 
+def as_rng(rng: Random) -> Random:
+    """``rng`` itself when it is a ``random.Random``, subclasses included; anything else raises UsageError."""
+    if not isinstance(rng, Random):
+        raise UsageError(f"rng must be a random.Random, got {type(rng).__name__}")
+    return rng
+
+
 class Scenario(Enum):
     """Which repair regime the helper counts put the system in."""
 
@@ -177,14 +184,15 @@ def repair_history(
     tier instead, lower index first among equals.  Draws happen as each
     event is requested, so callers may use ``rng`` between events.
 
-    ``n_cheap`` and ``failures`` are checked when the history is created,
-    before any draw; ``d1 <= n_cheap <= n - d2`` is required, else
+    ``n_cheap``, ``failures`` and ``rng`` are checked when the history is
+    created, before any draw; ``d1 <= n_cheap <= n - d2`` is required, else
     InvalidConstructionError.  With n >= d + 1 that leaves one tier with a
     spare node, so some node can always fail and every pool holds enough
     helpers.
     """
     n_cheap = as_count(n_cheap, "n_cheap")
     failures = as_count(failures, "failures")
+    rng = as_rng(rng)
     n, d1, d2 = params.n, params.d1, params.d2
     if not d1 <= n_cheap <= n - d2:
         raise InvalidConstructionError(

@@ -18,6 +18,7 @@ seeded trials do not depend on how the coefficients are batched.
 from __future__ import annotations
 
 import itertools
+from collections import abc
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, isqrt
@@ -31,7 +32,7 @@ from .errors import (
     UnknownNodeError,
     UsageError,
 )
-from .params import CHEAP, EXPENSIVE, SystemParams, as_count, repair_history
+from .params import CHEAP, EXPENSIVE, SystemParams, as_count, as_rng, repair_history
 
 
 # byte tables for ByteField.draw; a word whose top byte has bit 7 set is redrawn, so such bytes are deleted
@@ -230,6 +231,13 @@ Field = Union[ByteField, PrimeField]
 GF256 = ByteField()
 
 
+def _as_field(field: Field) -> Field:
+    """``field`` itself when it is a ``ByteField`` or ``PrimeField``; anything else raises UsageError."""
+    if not isinstance(field, (ByteField, PrimeField)):
+        raise UsageError(f"field must be a ByteField or PrimeField, got {type(field).__name__}")
+    return field
+
+
 def make_field(name: str) -> Field:
     """Field from a CLI name: "gf256" or "p<prime>" (e.g. "p257")."""
     if not isinstance(name, str):
@@ -245,7 +253,7 @@ def make_field(name: str) -> Field:
 
 def matrix_rank(rows: Sequence[Sequence[int]], field: Field) -> int:
     """Rank by Gaussian elimination over the given field; ragged rows or entries outside it raise UsageError."""
-    return field.rank(rows)
+    return _as_field(field).rank(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -275,15 +283,14 @@ def encode_initial(
     alpha_sym: int,
     field: Field,
     seed: int,
-    tiers: Sequence[str] | None = None,
+    tiers: Sequence[str],
 ) -> StorageState:
-    """Fill n nodes with alpha_sym uniformly random coefficient rows each."""
+    """Fill n nodes, of the given tiers, with alpha_sym uniformly random coefficient rows each."""
     file_len = as_count(file_len, "file_len", minimum=1)
     n = as_count(n, "n", minimum=1)
     alpha_sym = as_count(alpha_sym, "alpha_sym")
-    if tiers is None:
-        tiers = (CHEAP,) * n
-    if len(tiers) != n or any(t not in (CHEAP, EXPENSIVE) for t in tiers):
+    field = _as_field(field)
+    if not isinstance(tiers, abc.Sequence) or len(tiers) != n or any(t not in (CHEAP, EXPENSIVE) for t in tiers):
         raise InsufficientHelpersError(f"tiers must be {n} entries of 'cheap'/'expensive'")
     coeffs = field.draw(Random(_as_seed(seed)), n * alpha_sym * file_len)
     rows = [coeffs[i : i + file_len] for i in range(0, len(coeffs), file_len)]
@@ -312,6 +319,7 @@ def repair(
     _check_node(state, failed_node)
     beta1_sym = as_count(beta1_sym, "beta1_sym")
     beta2_sym = as_count(beta2_sym, "beta2_sym")
+    rng = as_rng(rng)
     seen: set[int] = {failed_node}
     for helpers, tier in ((helpers_cheap, CHEAP), (helpers_expensive, EXPENSIVE)):
         for helper in helpers:

@@ -10,14 +10,18 @@ total helper count d = d1 + d2.
 Scenario A (d1 >= k) and Scenario B (d1 < k) have different branch
 formulas.  The curve is built once from them: ``_piece_start`` and
 ``_piece_tail2`` map each piece to its scenario's formulas, and
-``alpha_min``, ``beta2_min``, the two-tier points and ``tradeoff_curve``
-read the pieces only through those two helpers.  The ratio, threshold
-and limit closed forms keep their own per-scenario formulas.
+``alpha_min``, ``beta2_min`` and ``tradeoff_curve`` read the pieces only
+through those two helpers.  Each extremal point is derived once: the
+two-tier points are the operating points at the curve's two ends, and the
+kprime -> infinity limit points are the single-tier points at d = d1.
+The bandwidth ratio is the cost ratio at unit costs, one per-scenario
+formula for both.  The threshold and the cost-ratio limit keep their own
+per-scenario closed forms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable
 
@@ -171,9 +175,7 @@ def alpha_min(params: SystemParams, beta2: RationalLike) -> Fraction:
     """Least per-node storage meeting the reconstruction bound at this beta2."""
     b2 = as_nonnegative(beta2, "beta2")
     M, k = params.file_size, params.k
-    if b2 > 0 and b2 >= _piece_start(params, 0):
-        return M / k
-    for i in range(1, k):
+    for i in range(k):
         if b2 >= _piece_start(params, i):
             return (2 * M - _piece_tail2(params, i) * b2) / (2 * (k - i))
     raise InsufficientRepairBandwidthError(
@@ -201,53 +203,30 @@ def beta2_min(params: SystemParams) -> Fraction:
 
 
 def gmsr_point(params: SystemParams) -> CodePoint:
-    """Minimum-storage point of the two-tier curve (alpha = M/k, least gamma)."""
-    gamma = params.gamma_per_beta2 * _piece_start(params, 0)
-    return _two_tier_point(params, alpha=params.file_size / params.k, gamma=gamma)
+    """Minimum-storage point of the two-tier curve: the start of its flat branch (alpha = M/k, least gamma)."""
+    return operating_point(params, _piece_start(params, 0))
 
 
 def gmbr_point(params: SystemParams) -> CodePoint:
-    """Minimum-bandwidth point of the two-tier curve (alpha = gamma)."""
-    gamma = params.gamma_per_beta2 * beta2_min(params)
-    return _two_tier_point(params, alpha=gamma, gamma=gamma)
+    """Minimum-bandwidth point of the two-tier curve: its start at beta2_min, where alpha = gamma."""
+    return operating_point(params, beta2_min(params))
 
 
 def grc_limit_point(params: SystemParams, kind: str) -> CodePoint:
     """Extremal point in the kprime -> infinity limit, where beta2 -> 0.
 
     Only Scenario A has a finite limit: repair degenerates to d1 cheap
-    helpers.  kind is "gmsr" or "gmbr".
+    helpers, so the point is the single-tier MSR or MBR point at d = d1,
+    with beta2 = 0 and only cheap downloads paid for.  kind is "gmsr" or
+    "gmbr".
     """
     if kind not in ("gmsr", "gmbr"):
         raise InvalidChoiceError(f"kind must be 'gmsr' or 'gmbr', got {kind!r}")
     if params.scenario is not Scenario.A:
         raise NotApplicableError("the kprime -> infinity limit is finite only when d1 >= k")
-    M, k, d1 = params.file_size, params.k, params.d1
-    if kind == "gmsr":
-        alpha = M / k
-        gamma = M * d1 / (k * (d1 - k + 1))
-    else:
-        gamma = 2 * M * d1 / (k * (2 * d1 - k + 1))
-        alpha = gamma
-    beta1 = gamma / d1
-    return CodePoint(
-        alpha=alpha,
-        beta1=beta1,
-        beta2=Fraction(0),
-        gamma=gamma,
-        cost=params.cost_cheap * gamma,
-    )
-
-
-def _two_tier_point(params: SystemParams, alpha: Fraction, gamma: Fraction) -> CodePoint:
-    beta2 = gamma / params.gamma_per_beta2
-    return CodePoint(
-        alpha=alpha,
-        beta1=params.kprime * beta2,
-        beta2=beta2,
-        gamma=gamma,
-        cost=total_cost(params, beta2),
-    )
+    single_tier = msr_point if kind == "gmsr" else mbr_point
+    point = single_tier(params.file_size, params.k, params.d1)
+    return replace(point, beta2=Fraction(0), cost=params.cost_cheap * point.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -255,34 +234,31 @@ def _two_tier_point(params: SystemParams, alpha: Fraction, gamma: Fraction) -> C
 
 
 def bandwidth_ratio(params: SystemParams, kind: str) -> Fraction:
-    """gamma(two-tier extremal) / gamma(symmetric extremal), same d and kind."""
-    _check_kind(kind)
-    k, d, d1, d2, kp = params.k, params.d, params.d1, params.d2, params.kprime
-    if params.scenario is Scenario.A:
-        if kind == "msr":
-            return _div((d2 + kp * d1) * (d - k + 1), d * (d1 * kp + d2 - k * kp + kp))
-        return _div((d2 + kp * d1) * (2 * d - k + 1), d * (2 * d1 * kp + 2 * d2 - k * kp + kp))
-    if kind == "msr":
-        return _div(Fraction(d1) * kp + d2, Fraction(d))
-    base = 2 * k * d - k * k + k
-    return _div((d1 * kp + d2) * base, (base + (d1 * d1 + d1) * (kp - 1)) * d)
+    """gamma(two-tier extremal) / gamma(symmetric extremal), same d and kind: cost_ratio at unit costs."""
+    return _extremal_ratio(params, _check_kind(kind), params.gamma_per_beta2, params.d)
 
 
 def cost_ratio(params: SystemParams, kind: str) -> Fraction:
     """Download cost of the two-tier extremal relative to the symmetric one."""
-    _check_kind(kind)
-    k, d, d1, d2, kp = params.k, params.d, params.d1, params.d2, params.kprime
     c1, c2 = params.cost_cheap, params.cost_expensive
-    tier_cost = params.cost_per_beta2
-    base_cost = c1 * d1 + c2 * d2
+    return _extremal_ratio(params, _check_kind(kind), params.cost_per_beta2, c1 * params.d1 + c2 * params.d2)
+
+
+def _extremal_ratio(params: SystemParams, kind: str, per_beta2: Fraction, symmetric: Fraction | int) -> Fraction:
+    """``per_beta2 * beta2`` of the two-tier extremal over ``symmetric * beta`` of the symmetric one.
+
+    The weights are what a repair moves or pays per unit of beta2 (two-tier)
+    and per unit of beta (symmetric); the scenario fixes the quotient beta2 / beta.
+    """
+    k, d, d1, d2, kp = params.k, params.d, params.d1, params.d2, params.kprime
     if params.scenario is Scenario.A:
         if kind == "msr":
-            return _div(tier_cost * (d - k + 1), (d1 * kp + d2 - k * kp + kp) * base_cost)
-        return _div(tier_cost * (2 * d - k + 1), (2 * d1 * kp + 2 * d2 - k * kp + kp) * base_cost)
+            return _div(per_beta2 * (d - k + 1), (d1 * kp + d2 - k * kp + kp) * symmetric)
+        return _div(per_beta2 * (2 * d - k + 1), (2 * d1 * kp + 2 * d2 - k * kp + kp) * symmetric)
     if kind == "msr":
-        return _div(tier_cost, base_cost)
+        return _div(per_beta2, symmetric)
     base = 2 * k * d - k * k + k
-    return _div(tier_cost * base, base_cost * (base + (d1 * d1 + d1) * (kp - 1)))
+    return _div(per_beta2 * base, symmetric * (base + (d1 * d1 + d1) * (kp - 1)))
 
 
 def cost_threshold(params: SystemParams, kind: str) -> Fraction:
@@ -344,8 +320,12 @@ class TradeoffCurve:
     """The full piecewise-linear alpha_min curve for one parameter set."""
 
     params: SystemParams
-    beta2_min: Fraction
     segments: tuple[TradeoffSegment, ...]
+
+    @property
+    def beta2_min(self) -> Fraction:
+        """Start of the first segment: the least feasible beta2."""
+        return self.segments[0].beta2_lo
 
     def breakpoints(self) -> list[Fraction]:
         """Left endpoints of every segment, ascending; the first is beta2_min."""
@@ -394,16 +374,15 @@ class TradeoffCurve:
 def tradeoff_curve(params: SystemParams) -> TradeoffCurve:
     """Assemble the alpha_min segments covering [beta2_min, infinity)."""
     M, k = params.file_size, params.k
-    starts = [_piece_start(params, i) for i in range(k)]
     segments = tuple(
         TradeoffSegment(
-            beta2_lo=starts[i],
+            beta2_lo=_piece_start(params, i),
             intercept=M / (k - i),
             slope=_piece_tail2(params, i) / (2 * (k - i)),
         )
         for i in range(k - 1, -1, -1)
     )
-    return TradeoffCurve(params=params, beta2_min=starts[-1], segments=segments)
+    return TradeoffCurve(params=params, segments=segments)
 
 
 def operating_point(params: SystemParams, beta2: RationalLike) -> CodePoint:

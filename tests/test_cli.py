@@ -76,6 +76,27 @@ def test_point_limit_kinds(capsys):
     assert err.startswith("error: NotApplicable")
 
 
+# scenario A with an empty expensive tier, rational kprime and file size
+D2_ZERO_FLAGS = ["--n", "6", "--k", "3", "--d1", "4", "--d2", "0", "--kprime", "5/2", "--M", "7/3"]
+
+
+@pytest.mark.parametrize(
+    "flags,digest",
+    [
+        ([*A_WIDE_FLAGS, "--M", "60"], "dc24f74b7d5d3684d65e3ff70ef455746bd2fd281a4068e2338598256e136254"),
+        ([*B_WIDE_FLAGS, "--M", "60"], "e0fa753d76ab168022266b085d7bae7384283e2736ad7160df370bc811d67917"),
+        (D2_ZERO_FLAGS, "dd664d0d4d2e90dc4b1b629ed17f83e0d1af53b2b604f438251365ccbf87f1a2"),
+    ],
+    ids=["A", "B", "d2=0"],
+)
+def test_point_kinds_match_frozen_digest(flags, digest, capsys):
+    text = ""
+    for kind in ("msr", "mbr", "gmsr", "gmbr", "gmsr-limit", "gmbr-limit"):
+        code, out, err = run_cli(["point", "--kind", kind, *flags, "--c2", "3"], capsys)
+        text += f"{kind} {code}\n{out}{err}"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_point_config_file_with_flag_override(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"k": 2, "d1": 2, "d2": 1, "kprime": "2", "M": 1}))

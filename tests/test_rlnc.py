@@ -288,14 +288,14 @@ def test_matrix_rank_matches_scalar_elimination_with_a_zero_column():
 
 
 def test_encode_initial_shape_and_determinism():
-    state = encode_initial(4, 3, 2, GF256, seed=5)
+    state = encode_initial(4, 3, 2, GF256, seed=5, tiers=("cheap",) * 3)
     assert len(state.nodes) == 3
     assert all(len(node.rows) == 2 for node in state.nodes)
     assert all(len(row) == 4 for node in state.nodes for row in node.rows)
     assert all(0 <= v < 256 for node in state.nodes for row in node.rows for v in row)
     assert all(node.tier == "cheap" for node in state.nodes)
-    assert state == encode_initial(4, 3, 2, GF256, seed=5)
-    assert state != encode_initial(4, 3, 2, GF256, seed=6)
+    assert state == encode_initial(4, 3, 2, GF256, seed=5, tiers=("cheap",) * 3)
+    assert state != encode_initial(4, 3, 2, GF256, seed=6, tiers=("cheap",) * 3)
 
 
 def test_encode_initial_tier_assignment():
@@ -305,15 +305,17 @@ def test_encode_initial_tier_assignment():
 
 def test_encode_initial_validation():
     with pytest.raises(NonPositiveError):
-        encode_initial(0, 3, 1, GF256, seed=0)
+        encode_initial(0, 3, 1, GF256, seed=0, tiers=("cheap",) * 3)
     with pytest.raises(NonIntegerDownloadError):
-        encode_initial(F(1, 2), 3, 1, GF256, seed=0)
+        encode_initial(F(1, 2), 3, 1, GF256, seed=0, tiers=("cheap",) * 3)
     with pytest.raises(NonIntegerDownloadError):
-        encode_initial(True, 3, 1, GF256, seed=0)
+        encode_initial(True, 3, 1, GF256, seed=0, tiers=("cheap",) * 3)
     with pytest.raises(InsufficientHelpersError):
         encode_initial(2, 3, 1, GF256, seed=0, tiers=("cheap", "cheap"))
     with pytest.raises(InsufficientHelpersError):
         encode_initial(2, 2, 1, GF256, seed=0, tiers=("cheap", "slow"))
+    with pytest.raises(InsufficientHelpersError):
+        encode_initial(2, 2, 1, GF256, seed=0, tiers=None)
 
 
 def _two_tier_state(seed=0):
@@ -354,7 +356,7 @@ def test_repair_rows_match_per_element_recomputation():
 
 def test_encode_initial_rows_are_per_coefficient_draws():
     for field in (GF256, PrimeField(257)):
-        state = encode_initial(4, 3, 2, field, seed=7)
+        state = encode_initial(4, 3, 2, field, seed=7, tiers=("cheap",) * 3)
         rng = Random(7)
         assert [tuple(row) for node in state.nodes for row in node.rows] == [
             tuple(rng.randrange(field.order) for _ in range(4)) for _ in range(3 * 2)
@@ -402,7 +404,7 @@ def test_repair_validates_helpers():
 
 def test_reconstruction_is_rank_limited():
     # two nodes holding one row each can never span a three-symbol file
-    state = encode_initial(3, 5, 1, GF256, seed=2)
+    state = encode_initial(3, 5, 1, GF256, seed=2, tiers=("cheap",) * 5)
     assert not can_reconstruct(state, [0, 1])
     with pytest.raises(UnknownNodeError):
         can_reconstruct(state, [0, 7])
@@ -411,7 +413,7 @@ def test_reconstruction_is_rank_limited():
 def test_single_symbol_success_rate_matches_nonzero_fraction():
     # with one coefficient per node, reconstruction succeeds exactly when
     # the coefficient is nonzero, so the rate estimates 255/256
-    state = encode_initial(1, 2000, 1, GF256, seed=11)
+    state = encode_initial(1, 2000, 1, GF256, seed=11, tiers=("cheap",) * 2000)
     nonzero = sum(1 for node in state.nodes if node.rows[0][0] != 0)
     successes = sum(1 for i in range(2000) if can_reconstruct(state, [i]))
     assert successes == nonzero
@@ -440,7 +442,7 @@ def test_seeds_must_be_ints():
         with pytest.raises(UsageError, match="seed must be an int"):
             run_trial(GMBR_PARAMS, alpha_sym=5, beta2_sym=1, num_failures=1, seed=seed)
         with pytest.raises(UsageError, match="seed must be an int"):
-            encode_initial(4, 3, 2, GF256, seed=seed)
+            encode_initial(4, 3, 2, GF256, seed=seed, tiers=("cheap",) * 3)
     negative = run_trial(GMBR_PARAMS, alpha_sym=5, beta2_sym=1, num_failures=1, seed=-3)
     assert negative.seed == -3
     assert negative == run_trial(GMBR_PARAMS, alpha_sym=5, beta2_sym=1, num_failures=1, seed=-3)

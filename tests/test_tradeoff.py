@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -332,7 +333,7 @@ def test_bandwidth_ratio_is_one_at_kprime_one():
 
 def test_bandwidth_ratio_matches_gamma_quotient():
     # dual route: the printed formula against gammas computed independently
-    for params in SWEEP:
+    for params in SWEEP + RATIONAL:
         sym_msr = msr_point(params.file_size, params.k, params.d)
         sym_mbr = mbr_point(params.file_size, params.k, params.d)
         assert bandwidth_ratio(params, "msr") == gmsr_point(params).gamma / sym_msr.gamma
@@ -347,10 +348,8 @@ def test_cost_ratio_values():
 
 
 def test_cost_ratio_matches_cost_quotient():
-    for base in SWEEP:
-        params = make_params(
-            base.k, base.d1, base.d2, kprime=base.kprime, n=base.n, cost_cheap=2, cost_expensive=5
-        )
+    for base in SWEEP + RATIONAL:
+        params = replace(base, cost_cheap=2, cost_expensive=5)
         sym = msr_point(params.file_size, params.k, params.d)
         sym_cost = (params.cost_cheap * params.d1 + params.cost_expensive * params.d2) * sym.beta2
         assert cost_ratio(params, "msr") == gmsr_point(params).cost / sym_cost

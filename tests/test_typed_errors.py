@@ -1,5 +1,6 @@
 """Every public call on any input returns an exact value or raises a RegenError."""
 
+import random
 from dataclasses import astuple
 from fractions import Fraction
 from random import Random
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regencost import NonPositiveError, RegenError, SystemParams, UsageError, cutflow, rlnc, tradeoff
-from regencost.params import CodePoint, repair_bandwidth, total_cost, validate_params
+from regencost.params import CodePoint, repair_bandwidth, repair_history, total_cost, validate_params
 
 _COUNTS = st.one_of(st.integers(-1, 6), st.booleans(), st.none(), st.just("3"), st.just(2.0))
 _RATIONALS = st.one_of(
@@ -134,6 +135,22 @@ _ROWS = st.one_of(
     ),
 )
 _TRIAL_PARAMS = SystemParams(4, 2, 2, 1, kprime=2, file_size=8)
+_TRIAL_TIERS = ("cheap",) * 3 + ("expensive",)
+
+
+class _SubclassedRandom(Random):
+    """A Random subclass: its draws take the per-call path."""
+
+
+_FIELDS = st.one_of(
+    st.sampled_from([rlnc.GF256, rlnc.PrimeField(257)]),
+    st.sampled_from(["gf256", "p257", 256, None, Random(0), rlnc.ByteField, rlnc]),
+)
+_RNGS = st.one_of(
+    st.builds(Random, st.integers(0, 9)),
+    st.builds(_SubclassedRandom, st.integers(0, 9)),
+    st.sampled_from([None, 0, "rng", random, Random, rlnc.GF256]),
+)
 
 
 def _typed(call, *args, **kwargs):
@@ -145,8 +162,16 @@ def _typed(call, *args, **kwargs):
 
 
 @settings(max_examples=100, deadline=None)
-@given(name=_FIELD_NAMES, order=_ORDERS, seed=_SEEDS, rows=_ROWS, field=st.sampled_from(["gf256", "p257", "p2"]))
-def test_rlnc_inputs_raise_only_typed_errors(name, order, seed, rows, field):
+@given(
+    name=_FIELD_NAMES,
+    order=_ORDERS,
+    seed=_SEEDS,
+    rows=_ROWS,
+    field=st.sampled_from(["gf256", "p257", "p2"]),
+    any_field=_FIELDS,
+    rng=_RNGS,
+)
+def test_rlnc_inputs_raise_only_typed_errors(name, order, seed, rows, field, any_field, rng):
     made = _typed(rlnc.make_field, name)
     assert made is None or made is rlnc.GF256 or isinstance(made, rlnc.PrimeField)
     made = _typed(rlnc.PrimeField, order)
@@ -155,8 +180,18 @@ def test_rlnc_inputs_raise_only_typed_errors(name, order, seed, rows, field):
     seeded = type(seed) is int
     trial = _typed(rlnc.run_trial, _TRIAL_PARAMS, 5, 1, 1, seed, max_subsets=2)
     assert trial.seed == seed if seeded else trial is None
-    state = _typed(rlnc.encode_initial, 4, 3, 2, rlnc.GF256, seed)
+    state = _typed(rlnc.encode_initial, 4, 3, 2, rlnc.GF256, seed, ("cheap",) * 3)
     assert (state is not None) == seeded
+    # a field is a ByteField or PrimeField and an rng a random.Random; repair_history checks when created
+    is_field = isinstance(any_field, (rlnc.ByteField, rlnc.PrimeField))
+    is_rng = isinstance(rng, Random)
+    assert (_typed(rlnc.matrix_rank, [[1]], any_field) is not None) == is_field
+    assert (_typed(rlnc.encode_initial, 8, 4, 2, any_field, 0, _TRIAL_TIERS) is not None) == is_field
+    assert (_typed(rlnc.run_trial, _TRIAL_PARAMS, 2, 1, 1, 0, field=any_field, max_subsets=2) is not None) == is_field
+    state = rlnc.encode_initial(8, 4, 2, rlnc.GF256, 0, _TRIAL_TIERS)
+    assert (_typed(rlnc.repair, state, 0, [1, 2], [3], 2, 1, rng) is not None) == is_rng
+    assert (_typed(cutflow.random_history_graph, _TRIAL_PARAMS, 4, 1, rng, 1) is not None) == is_rng
+    assert (_typed(repair_history, _TRIAL_PARAMS, 3, 1, rng) is not None) == is_rng
     # a rank comes only from rectangular rows of field elements
     field = rlnc.make_field(field)
     rank = _typed(rlnc.matrix_rank, rows, field)
