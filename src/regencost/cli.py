@@ -462,7 +462,32 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"trials={len(trials)} checks={total_checks} successes={total_successes} "
             f"success_rate={float(rate):.6f} ({_exact(rate)})"
         )
+    failed = [t for t in trials if t.successes < len(t.checks)]
+    if failed:
+        first = failed[0]
+        subset = next(c.nodes for c in first.checks if not c.success)
+        print(
+            f"FAILED {len(failed)} of {len(trials)} trials had a failed subset; first: seed={first.seed} "
+            f"subset={','.join(map(str, subset))} | reproduce: {_simulate_reproducer(params, args, first.seed)}",
+            file=sys.stderr,
+        )
     return 0
+
+
+def _simulate_reproducer(params: SystemParams, args: argparse.Namespace, seed: int) -> str:
+    """The ``simulate`` call that runs the one trial of this seed with the run's own settings."""
+    flags = [f"--{flag} {_exact(getattr(params, field))}" for flag, field, _, _ in _PARAM_FLAGS]
+    flags += [
+        f"--alpha-sym {args.alpha_sym}",
+        f"--beta2-sym {args.beta2_sym}",
+        f"--failures {args.failures}",
+        f"--field {args.field}",
+        f"--helper-mode {args.helper_mode}",
+        *([] if args.n_cheap is None else [f"--n-cheap {args.n_cheap}"]),
+        f"--max-subsets {args.max_subsets}",
+        f"--format {args.format}",
+    ]
+    return f"regencost simulate {' '.join(flags)} --trials 1 --seed {seed}"
 
 
 # ---------------------------------------------------------------------------

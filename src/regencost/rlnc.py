@@ -3,10 +3,12 @@
 Nodes store random linear combinations of the file symbols; only the
 coefficient vectors are tracked, since reconstruction is a rank question.
 The default field is GF(256) with reduction polynomial 0x11D, whose rows
-are ``bytes`` handled whole; a prime field mode (mod 257) keeps int-tuple
-rows and per-element arithmetic to cross-check it.  Each field supplies
-the draw, ``combine`` and ``rank``; rows stay in the field's own form from
-draw to rank, and ``tuple(row)`` gives the int form of either.
+are ``bytes`` handled whole; its rank check eliminates all the rows still
+below the pivots at once, as one ``bytes`` block.  A prime field mode
+(mod 257) keeps int-tuple rows and per-element arithmetic to cross-check
+it.  Each field supplies the draw, ``combine`` and ``rank``; rows stay in
+the field's own form from draw to rank, and ``tuple(row)`` gives the int
+form of either.
 
 Coefficients are drawn in bulk: ``encode_initial`` and each ``repair``
 make one ``field.draw`` for all of their coefficients.  For a
@@ -132,7 +134,17 @@ class ByteField:
         return acc.to_bytes(width, "big")
 
     def rank(self, rows: Sequence[Sequence[int]]) -> int:
-        """Rank by Gaussian elimination; each step is one translate and one xor."""
+        """Rank by Gaussian elimination of the whole remaining block at once.
+
+        The rows not yet used as pivots are one row-major ``bytes`` block,
+        ``width`` bytes a row, so column ``col`` is ``block[col::width]``.
+        For each column the pivot is the first nonzero entry, found by
+        ``lstrip``; its row is normalised with one translate and taken out
+        of the block.  The rows below it are then reduced together: their
+        multiples of the pivot row are joined into one update, xored into
+        the block as one big-endian integer.  That is three int conversions
+        per pivot column, whatever the number of rows.
+        """
         tables = self.mul_tables
         try:
             # iter() keeps an int row from becoming that many zero bytes
@@ -142,22 +154,23 @@ class ByteField:
         width = len(work[0]) if work else 0
         if any(len(row) != width for row in work):
             raise UsageError(f"rows must all have the first row's length {width}")
+        block = b"".join(work)
         rank = 0
         for col in range(width):
-            pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
-            if pivot is None:
+            column = block[col::width]
+            below = column.lstrip(b"\0")  # the pivot's entry, then the entries of the rows after it
+            if not below:
                 continue
-            work[rank], work[pivot] = work[pivot], work[rank]
-            lead = work[rank].translate(tables[self.inv(work[rank][col])])
-            for r in range(rank + 1, len(work)):
-                factor = work[r][col]
-                if factor:
-                    scaled = lead.translate(tables[factor])
-                    reduced = int.from_bytes(work[r], "big") ^ int.from_bytes(scaled, "big")
-                    work[r] = reduced.to_bytes(width, "big")
+            start = (len(column) - len(below)) * width
+            lead = block[start : start + width].translate(tables[self.inv(below[0])])
+            block = block[:start] + block[start + width :]
             rank += 1
-            if rank == len(work):
+            if not block:
                 break
+            # the update covers the rows after the pivot: the low-order end of the block's integer
+            update = b"".join([lead.translate(tables[factor]) for factor in below[1:]])
+            reduced = int.from_bytes(block, "big") ^ int.from_bytes(update, "big")
+            block = reduced.to_bytes(len(block), "big")
         return rank
 
 

@@ -131,8 +131,9 @@ def _require(params: SystemParams, scenario: Scenario) -> None:
 
 
 def _tail2_a(params: SystemParams, i: int) -> Fraction:
-    kp, d1, d2, k = params.kprime, params.d1, params.d2, params.k
-    return i * (2 * d1 * kp + 2 * d2 - 2 * k * kp + (i + 1) * kp)
+    # i * (kprime * (2 (d1 - k) + i + 1) + 2 d2), with the int factors multiplied first:
+    # one Fraction multiply and one add, and piece 0 costs no more than that
+    return params.kprime * (i * (2 * (params.d1 - params.k) + i + 1)) + 2 * i * params.d2
 
 
 def _tail2_b_upper(params: SystemParams, i: int) -> Fraction:

@@ -564,6 +564,28 @@ def test_simulate_text_summary(capsys):
     assert out.startswith("trials=2 checks=12 ")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_simulate_failed_subset_prints_a_reproducer(fmt, capsys):
+    # of seeds 40..59 only seed 49 has a failed subset, (0, 2), so the reproducer is not the base seed
+    flags = [*SIM_FLAGS, "--alpha-sym", "5", "--beta2-sym", "1", "--failures", "3", "--format", fmt]
+    code, out, err = run_cli(["simulate", *flags, "--trials", "20", "--seed", "40"], capsys)
+    assert code == 0
+    (line,) = err.splitlines()
+    head, command = line.split(" | reproduce: regencost ")
+    assert head == "FAILED 1 of 20 trials had a failed subset; first: seed=49 subset=0,2"
+    argv = command.split()
+    assert argv[0] == "simulate" and argv[-4:] == ["--trials", "1", "--seed", "49"]
+    code, again, err = run_cli(argv, capsys)
+    assert code == 0
+    assert err.startswith("FAILED 1 of 1 trials had a failed subset; first: seed=49 subset=0,2 | ")
+    if fmt == "json":
+        (trial,) = json.loads(again)["trials"]
+        assert trial == json.loads(out)["trials"][9]
+    # a run whose subsets all succeed prints nothing on stderr
+    code, _, err = run_cli(["simulate", *flags, "--trials", "9", "--seed", "40"], capsys)
+    assert (code, err) == (0, "")
+
+
 # ---------------------------------------------------------------------------
 # graph
 

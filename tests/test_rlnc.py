@@ -1,8 +1,10 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_params
 from regencost import rlnc
@@ -16,6 +18,7 @@ from regencost.errors import (
     UnknownNodeError,
     UsageError,
 )
+from regencost.params import CHEAP, EXPENSIVE, repair_history
 from regencost.rlnc import (
     GF256,
     MAX_PRIME_ORDER,
@@ -281,6 +284,96 @@ def test_matrix_rank_matches_scalar_elimination_with_a_zero_column():
         for row in rows:
             row[col] = 0
         assert matrix_rank(rows, GF256) == _scalar_rank(rows) == 9
+
+
+def _repaired_state(params, alpha_sym, beta1_sym, beta2_sym, failures, seed):
+    """A seeded state after ``failures`` repairs, built the way ``run_trial`` builds it."""
+    rng = Random(seed)
+    n_cheap = params.n - params.d2
+    tiers = tuple(CHEAP if i < n_cheap else EXPENSIVE for i in range(params.n))
+    state = encode_initial(int(params.file_size), params.n, alpha_sym, GF256, rng.getrandbits(32), tiers)
+    for failed, cheap, expensive in repair_history(params, n_cheap, failures, rng):
+        state = repair(state, failed, cheap, expensive, beta1_sym, beta2_sym, rng)
+    return state
+
+
+@pytest.mark.parametrize(
+    "alpha_sym,beta1_sym,beta2_sym,expected_ranks",
+    [(4, 2, 1, {12}), (3, 2, 1, {9}), (5, 1, 0, {6, 8, 10, 11, 12})],
+    ids=["at-the-bound", "below-the-bound", "starved-repairs"],
+)
+def test_matrix_rank_matches_scalar_elimination_on_collector_rows(alpha_sym, beta1_sym, beta2_sym, expected_ranks):
+    # the stacked rows can_reconstruct ranks: k = 3 nodes of alpha_sym rows against a 12-symbol
+    # file; a starved newcomer receives 3 rows and stores 5 combinations of them
+    params = make_params(3, 3, 2, kprime=2, n=6, file_size=12)
+    ranks = set()
+    for seed in range(3):
+        state = _repaired_state(params, alpha_sym, beta1_sym, beta2_sym, failures=4, seed=seed)
+        for subset in combinations(range(params.n), params.k):
+            rows = [row for node in subset for row in state.nodes[node].rows]
+            rank = matrix_rank(rows, GF256)
+            assert rank == _scalar_rank(rows)
+            assert can_reconstruct(state, subset) is (rank == 12)
+            ranks.add(rank)
+    assert ranks == expected_ranks
+
+
+def test_matrix_rank_of_tall_matrices_full_before_the_last_row():
+    rng = Random(8)
+    for width in (1, 3, 6):
+        identity = [[int(i == j) for j in range(width)] for i in range(width)]
+        for extra in (1, 5):
+            rows = identity + _random_matrix(rng, extra, width)
+            assert matrix_rank(rows, GF256) == _scalar_rank(rows) == width
+            rows = _random_matrix(rng, width, width) + identity + [[0] * width]
+            assert matrix_rank(rows, GF256) == _scalar_rank(rows) == width
+
+
+def test_matrix_rank_of_one_column_and_one_row():
+    for rows in ([[0]], [[7]], [[0], [0], [255]], [[0], [0]], [[1], [2], [3]]):
+        assert matrix_rank(rows, GF256) == _scalar_rank(rows)
+    for rows in ([[0, 0, 0]], [[0, 0, 9]], [[1, 255, 0, 4]]):
+        assert matrix_rank(rows, GF256) == _scalar_rank(rows)
+    assert matrix_rank([], GF256) == 0
+    assert matrix_rank([[], []], GF256) == 0
+
+
+def test_matrix_rank_with_zero_rows_mixed_in():
+    rng = Random(12)
+    for height, width in ((6, 6), (9, 4), (4, 9)):
+        rows = _random_matrix(rng, height, width)
+        for at in (0, 2, len(rows)):
+            rows.insert(at, [0] * width)
+        assert matrix_rank(rows, GF256) == _scalar_rank(rows) == min(height, width)
+
+
+def test_matrix_rank_takes_bytes_list_and_tuple_rows_in_one_call():
+    rng = Random(4)
+    rows = _random_matrix(rng, 9, 7)
+    rows[5] = [v ^ GF256.mul(3, w) for v, w in zip(rows[1], rows[2])]  # a dependent row
+    kept = [list(row) for row in rows]
+    mixed = [(bytes, list, tuple)[i % 3](row) for i, row in enumerate(rows)]
+    assert matrix_rank(mixed, GF256) == _scalar_rank(rows) == 7
+    # the list rows, and the rows they were built from, are as they were
+    assert [row for row in mixed if type(row) is list] == kept[1::3]
+    assert rows == kept
+
+
+_ENTRIES = st.one_of(st.sampled_from([0, 1, 255]), st.integers(0, 255))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 8).flatmap(
+        lambda width: st.lists(
+            st.tuples(st.lists(_ENTRIES, min_size=width, max_size=width), st.sampled_from([bytes, list, tuple])),
+            max_size=8,
+        )
+    )
+)
+def test_matrix_rank_matches_scalar_elimination_on_small_shapes(rows):
+    values = [list(row) for row, _ in rows]
+    assert matrix_rank([kind(row) for row, kind in rows], GF256) == _scalar_rank(values)
 
 
 # ---------------------------------------------------------------------------
