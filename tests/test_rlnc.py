@@ -330,9 +330,8 @@ def test_matrix_rank_of_tall_matrices_full_before_the_last_row():
 
 
 def test_matrix_rank_of_one_column_and_one_row():
-    for rows in ([[0]], [[7]], [[0], [0], [255]], [[0], [0]], [[1], [2], [3]]):
-        assert matrix_rank(rows, GF256) == _scalar_rank(rows)
-    for rows in ([[0, 0, 0]], [[0, 0, 9]], [[1, 255, 0, 4]]):
+    columns = ([[0]], [[7]], [[0], [0], [255]], [[0], [0]], [[1], [2], [3]])
+    for rows in (*columns, [[0, 0, 0]], [[0, 0, 9]], [[1, 255, 0, 4]]):
         assert matrix_rank(rows, GF256) == _scalar_rank(rows)
     assert matrix_rank([], GF256) == 0
     assert matrix_rank([[], []], GF256) == 0
