@@ -35,7 +35,7 @@ from typing import Iterable, Sequence, TextIO
 
 from . import cutflow, rlnc, tradeoff
 from .errors import NonPositiveError, NotApplicableError, RegenError, UsageError
-from .params import CodePoint, SystemParams, as_fraction, total_cost
+from .params import CodePoint, SystemParams, as_fraction, exact_str, total_cost
 
 # one row per system-parameter flag: (flag, SystemParams field, argparse type, help)
 _PARAM_FLAGS = (
@@ -63,17 +63,6 @@ _MAX_SAMPLES = 100_000
 
 # smallest positive normal float; below it a float's precision falls off, to none under about 5e-324
 _FLOAT_MIN = sys.float_info.min
-
-
-def _exact(value: Fraction | None) -> str:
-    if value is None:
-        return ""
-    try:
-        return str(value)
-    except ValueError:
-        # past the interpreter's limit on int-to-str digits; Decimal prints any int exactly
-        numerator = f"{Decimal(value.numerator):f}"
-        return numerator if value.denominator == 1 else f"{numerator}/{Decimal(value.denominator):f}"
 
 
 def _decimal(value: Fraction | None) -> str:
@@ -152,7 +141,7 @@ def cmd_point(args: argparse.Namespace) -> int:
     rows = [
         ["kind", args.kind, ""],
         ["scenario", params.scenario.value, ""],
-        *([field, _exact(value), _decimal(value)] for field, value in values),
+        *([field, exact_str(value), _decimal(value)] for field, value in values),
         ["beta1_exceeds_alpha", str(point.beta1_exceeds_alpha).lower(), ""],
     ]
     _write_csv(sys.stdout, ["field", "exact", "decimal"], rows)
@@ -194,15 +183,15 @@ def _curve_rows(params: SystemParams, samples: int, breakpoints_only: bool) -> l
         grid = [beta2 for beta2, _ in groupby(heapq.merge(samples_grid, breakpoints))]
     return [
         [
-            _exact(point.beta2),
+            exact_str(point.beta2),
             _decimal(point.beta2),
-            _exact(point.beta1),
+            exact_str(point.beta1),
             _decimal(point.beta1),
-            _exact(point.alpha),
+            exact_str(point.alpha),
             _decimal(point.alpha),
-            _exact(point.gamma),
+            exact_str(point.gamma),
             _decimal(point.gamma),
-            _exact(point.cost),
+            exact_str(point.cost),
             _decimal(point.cost),
         ]
         for point in curve.points(grid)
@@ -247,11 +236,11 @@ def _ratio_rows(
             rows.append(
                 [
                     str(kprime),
-                    _exact(rho),
+                    exact_str(rho),
                     _decimal(rho),
-                    _exact(eta),
+                    exact_str(eta),
                     _decimal(eta),
-                    _exact(ratio),
+                    exact_str(ratio),
                 ]
             )
     return rows
@@ -281,7 +270,7 @@ def _threshold_rows(params: SystemParams, kinds: Sequence[str]) -> list[list[str
     for kind in kinds:
         try:
             value = tradeoff.cost_threshold(params, kind)
-            rows.append([kind, params.scenario.value, _exact(value), _decimal(value)])
+            rows.append([kind, params.scenario.value, exact_str(value), _decimal(value)])
         except NotApplicableError:
             rows.append([kind, params.scenario.value, "NA", "NA"])
     return rows
@@ -300,10 +289,10 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 
 def _report_payload(report: cutflow.CutReport) -> dict[str, object]:
     return {
-        "beta2": _exact(report.beta2),
-        "alpha_closed": None if report.alpha_closed is None else _exact(report.alpha_closed),
-        "alpha_oracle": None if report.alpha_oracle is None else _exact(report.alpha_oracle),
-        "maxflow_at_alpha": _exact(report.maxflow_at_alpha),
+        "beta2": exact_str(report.beta2),
+        "alpha_closed": None if report.alpha_closed is None else exact_str(report.alpha_closed),
+        "alpha_oracle": None if report.alpha_oracle is None else exact_str(report.alpha_oracle),
+        "maxflow_at_alpha": exact_str(report.maxflow_at_alpha),
         "agree": report.agree,
         "flow_ok": report.flow_ok,
     }
@@ -312,7 +301,7 @@ def _report_payload(report: cutflow.CutReport) -> dict[str, object]:
 def _sweep_reproducer(params: SystemParams, beta2: Fraction) -> str:
     return (
         f"regencost verify --k {params.k} --d1 {params.d1} --d2 {params.d2} "
-        f"--kprime {_exact(params.kprime)} --beta2 {_exact(beta2)}"
+        f"--kprime {exact_str(params.kprime)} --beta2 {exact_str(beta2)}"
     )
 
 
@@ -349,7 +338,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                         "k": p.k,
                         "d1": p.d1,
                         "d2": p.d2,
-                        "kprime": _exact(p.kprime),
+                        "kprime": exact_str(p.kprime),
                         "report": _report_payload(r),
                     }
                     for p, r in mismatches
@@ -359,9 +348,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         else:
             for p, r in mismatches:
                 print(
-                    f"MISMATCH k={p.k} d1={p.d1} d2={p.d2} kprime={_exact(p.kprime)} "
-                    f"beta2={_exact(r.beta2)} closed={_exact(r.alpha_closed)} oracle={_exact(r.alpha_oracle)} "
-                    f"maxflow={_exact(r.maxflow_at_alpha)} | reproduce: {_sweep_reproducer(p, r.beta2)}"
+                    f"MISMATCH k={p.k} d1={p.d1} d2={p.d2} kprime={exact_str(p.kprime)} "
+                    f"beta2={exact_str(r.beta2)} closed={exact_str(r.alpha_closed)} oracle={exact_str(r.alpha_oracle)} "
+                    f"maxflow={exact_str(r.maxflow_at_alpha)} | reproduce: {_sweep_reproducer(p, r.beta2)}"
                 )
             print(f"configs={configs} points={points} mismatches={len(mismatches)}")
         return 0 if not mismatches else 1
@@ -378,12 +367,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for r in reports:
-            closed = _exact(r.alpha_closed) if r.alpha_closed is not None else "infeasible"
-            oracle = _exact(r.alpha_oracle) if r.alpha_oracle is not None else "infeasible"
+            closed = exact_str(r.alpha_closed) if r.alpha_closed is not None else "infeasible"
+            oracle = exact_str(r.alpha_oracle) if r.alpha_oracle is not None else "infeasible"
             status = "ok" if r.ok else "MISMATCH"
             print(
-                f"beta2={_exact(r.beta2)} closed={closed} oracle={oracle} "
-                f"maxflow={_exact(r.maxflow_at_alpha)} {status}"
+                f"beta2={exact_str(r.beta2)} closed={closed} oracle={oracle} "
+                f"maxflow={exact_str(r.maxflow_at_alpha)} {status}"
             )
         print(f"agreements={len(reports) - bad} mismatches={bad}")
     return 0 if bad == 0 else 1
@@ -426,7 +415,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         payload = {
             "config": {
                 **{
-                    flag: getattr(params, field) if kind is int else _exact(getattr(params, field))
+                    flag: getattr(params, field) if kind is int else exact_str(getattr(params, field))
                     for flag, field, kind, _ in _PARAM_FLAGS
                 },
                 "alpha_sym": args.alpha_sym,
@@ -454,13 +443,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "total_checks": total_checks,
             "total_successes": total_successes,
             "success_rate": float(rate),
-            "success_rate_exact": _exact(rate),
+            "success_rate_exact": exact_str(rate),
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(
             f"trials={len(trials)} checks={total_checks} successes={total_successes} "
-            f"success_rate={float(rate):.6f} ({_exact(rate)})"
+            f"success_rate={float(rate):.6f} ({exact_str(rate)})"
         )
     failed = [t for t in trials if t.successes < len(t.checks)]
     if failed:
@@ -476,7 +465,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _simulate_reproducer(params: SystemParams, args: argparse.Namespace, seed: int) -> str:
     """The ``simulate`` call that runs the one trial of this seed with the run's own settings."""
-    flags = [f"--{flag} {_exact(getattr(params, field))}" for flag, field, _, _ in _PARAM_FLAGS]
+    flags = [f"--{flag} {exact_str(getattr(params, field))}" for flag, field, _, _ in _PARAM_FLAGS]
     flags += [
         f"--alpha-sym {args.alpha_sym}",
         f"--beta2-sym {args.beta2_sym}",
@@ -549,9 +538,9 @@ def cmd_paper_figures(args: argparse.Namespace) -> int:
             base = replace(config_a, cost_cheap=frac(1), cost_expensive=ratio)
             for kprime in _FIGURE_KPRIMES:
                 eta = tradeoff.cost_ratio(replace(base, kprime=frac(kprime)), kind)
-                eta_rows.append([kind, _exact(ratio), str(kprime), _exact(eta), _decimal(eta)])
+                eta_rows.append([kind, exact_str(ratio), str(kprime), exact_str(eta), _decimal(eta)])
             limit = tradeoff.cost_ratio_limit(base, kind)
-            eta_rows.append([kind, _exact(ratio), "inf", _exact(limit), _decimal(limit)])
+            eta_rows.append([kind, exact_str(ratio), "inf", exact_str(limit), _decimal(limit)])
     write(
         "cost_ratio_vs_kprime_a.csv",
         ["kind", "cost_ratio", "kprime", "eta", "eta_decimal"],

@@ -32,7 +32,7 @@ from networkx.algorithms.flow import edmonds_karp
 
 from . import tradeoff
 from .errors import InsufficientRepairBandwidthError
-from .params import RationalLike, Scenario, SystemParams, as_nonnegative, as_rng, repair_history
+from .params import RationalLike, Scenario, SystemParams, as_nonnegative, as_rng, exact_str, repair_history
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +72,7 @@ def alpha_min_oracle(params: SystemParams, beta2: RationalLike) -> Fraction:
     target = params.file_size
     if sum(terms) < target:
         raise InsufficientRepairBandwidthError(
-            f"total cut capacity {sum(terms)} cannot reach file size {target}"
+            f"total cut capacity {exact_str(sum(terms))} cannot reach file size {exact_str(target)}"
         )
     saturated = Fraction(0)
     for index, term in enumerate(terms):

@@ -16,6 +16,7 @@ tolerances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from random import Random
@@ -53,11 +54,23 @@ def as_fraction(value: RationalLike, what: str = "value") -> Fraction:
     raise UsageError(f"{what} must be an int, Fraction, or 'p/q' string, got {type(value).__name__}")
 
 
+def exact_str(value: Fraction | None) -> str:
+    """``value`` as "p/q" (or "p"), at any size; None prints as ""."""
+    if value is None:
+        return ""
+    try:
+        return str(value)
+    except ValueError:
+        # past the interpreter's limit on int-to-str digits; Decimal prints any int exactly
+        numerator = f"{Decimal(value.numerator):f}"
+        return numerator if value.denominator == 1 else f"{numerator}/{Decimal(value.denominator):f}"
+
+
 def as_nonnegative(value: RationalLike, what: str) -> Fraction:
     """:func:`as_fraction`, refusing values below zero."""
     v = as_fraction(value, what)
     if v < 0:
-        raise NonPositiveError(f"{what} must be nonnegative, got {v}")
+        raise NonPositiveError(f"{what} must be nonnegative, got {exact_str(v)}")
     return v
 
 
@@ -115,7 +128,7 @@ class SystemParams:
         if self.k < 1:
             raise NonPositiveError(f"k must be at least 1, got {self.k}")
         if self.file_size <= 0:
-            raise NonPositiveError(f"file_size must be positive, got {self.file_size}")
+            raise NonPositiveError(f"file_size must be positive, got {exact_str(self.file_size)}")
         as_nonnegative(self.cost_cheap, "cost_cheap")
         if self.d1 < 0 or self.d2 < 0:
             raise InvalidDegreeError(f"helper counts must be nonnegative, got d1={self.d1}, d2={self.d2}")
@@ -127,10 +140,11 @@ class SystemParams:
             raise InvalidDegreeError(f"d1 + d2 can be at most n - 1, got d={self.d}, n={self.n}")
         if self.cost_cheap > self.cost_expensive:
             raise InvalidCostOrderError(
-                f"cost_cheap must not exceed cost_expensive, got {self.cost_cheap} > {self.cost_expensive}"
+                "cost_cheap must not exceed cost_expensive, got "
+                f"{exact_str(self.cost_cheap)} > {exact_str(self.cost_expensive)}"
             )
         if self.kprime < 1:
-            raise InvalidRatioError(f"kprime must be at least 1, got {self.kprime}")
+            raise InvalidRatioError(f"kprime must be at least 1, got {exact_str(self.kprime)}")
 
     @property
     def d(self) -> int:

@@ -34,7 +34,7 @@ from .errors import (
     UnknownNodeError,
     UsageError,
 )
-from .params import CHEAP, EXPENSIVE, SystemParams, as_count, as_rng, repair_history
+from .params import CHEAP, EXPENSIVE, SystemParams, as_count, as_rng, exact_str, repair_history
 
 
 # byte tables for ByteField.draw; a word whose top byte has bit 7 set is redrawn, so such bytes are deleted
@@ -441,11 +441,11 @@ def run_trial(
         raise InvalidChoiceError(f"helper_mode must be 'uniform' or 'worst-case', got {helper_mode!r}")
     if params.kprime.denominator != 1:
         raise NonIntegerDownloadError(
-            f"simulation needs an integer kprime, got {params.kprime}"
+            f"simulation needs an integer kprime, got {exact_str(params.kprime)}"
         )
     if params.file_size.denominator != 1:
         raise NonIntegerDownloadError(
-            f"simulation needs an integer file size in symbols, got {params.file_size}"
+            f"simulation needs an integer file size in symbols, got {exact_str(params.file_size)}"
         )
     alpha_sym = as_count(alpha_sym, "alpha_sym")
     beta2_sym = as_count(beta2_sym, "beta2_sym")

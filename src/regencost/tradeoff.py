@@ -8,10 +8,10 @@ ratios comparing two-tier repair against symmetric repair at the same
 total helper count d = d1 + d2.
 
 Scenario A (d1 >= k) and Scenario B (d1 < k) have different branch
-formulas.  The curve is built once from them: ``_piece_start`` and
-``_piece_tail2`` map each piece to its scenario's formulas, and
-``alpha_min``, ``beta2_min`` and ``tradeoff_curve`` read the pieces only
-through those two helpers.  Each extremal point is derived once: the
+formulas.  They live in one place: ``_pieces`` yields each piece's start
+and tail, checking the scenario once, and ``alpha_min``, ``beta2_min``,
+``tradeoff_curve``, ``gmsr_point`` and the public ``breakpoint_a/_b1/_b2``
+all read the pieces from it.  Each extremal point is derived once: the
 two-tier points are the operating points at the curve's two ends, and the
 kprime -> infinity limit points are the single-tier points at d = d1.
 The bandwidth ratio is the cost ratio at unit costs, one per-scenario
@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable
+from itertools import islice
+from typing import Iterable, Iterator
 
 from .errors import (
     DegenerateConfigurationError,
@@ -42,6 +43,7 @@ from .params import (
     as_count,
     as_fraction,
     as_nonnegative,
+    exact_str,
     repair_bandwidth,
     total_cost,
 )
@@ -76,7 +78,7 @@ def mbr_point(file_size: RationalLike, k: int, d: int) -> CodePoint:
 def _checked_single_tier(file_size: RationalLike, k: int, d: int) -> tuple[Fraction, int, int]:
     M = as_fraction(file_size, "file_size")
     if M <= 0:
-        raise NonPositiveError(f"file_size must be positive, got {M}")
+        raise NonPositiveError(f"file_size must be positive, got {exact_str(M)}")
     k = as_count(k, "k", minimum=1)
     d = as_count(d, "d")
     if d < k:
@@ -85,7 +87,32 @@ def _checked_single_tier(file_size: RationalLike, k: int, d: int) -> tuple[Fract
 
 
 # ---------------------------------------------------------------------------
-# breakpoints of the piecewise-linear storage curve
+# the pieces of the storage curve and their starts (breakpoints)
+
+
+def _pieces(params: SystemParams) -> Iterator[tuple[Fraction, Fraction]]:
+    """``(start, tail2)`` of each piece of the curve, piece 0 first, each computed when asked for.
+
+    Piece i, for i in 0..k-1, is alpha = (2M - tail2 * beta2) / (2 (k - i))
+    from its start up to the start of piece i - 1; piece 0 is the flat branch
+    and piece k-1 starts at beta2_min.  tail2 is twice the total capacity (per
+    unit beta2) of the branches already saturated.  Scenario B's pieces are
+    the k - d1 upper-range ones followed by the d1 lower-range ones.
+    """
+    M2, k, d, d1, d2, kp = 2 * params.file_size, params.k, params.d, params.d1, params.d2, params.kprime
+    if params.scenario is Scenario.A:
+        base = 2 * k * (d1 * kp + d2 - k * kp)
+        for i in range(k):
+            # int factors multiplied first: one Fraction multiply and one add each
+            yield M2 / (base + kp * ((i + 1) * (2 * k - i))), kp * (i * (2 * (d1 - k) + i + 1)) + 2 * i * d2
+        return
+    upper = k - d1
+    for i in range(upper):
+        yield M2 / (2 * k * (d - k) + (i + 1) * (2 * k - i)), Fraction(i * (2 * d - 2 * k + i + 1))
+    base = 2 * k * d - k * k - d1 * d1 - d1 + k + 2 * d1 * kp
+    tail2_upper = (upper - 1) * (2 * d - 2 * k + upper)
+    for i in range(d1):
+        yield M2 / (base + i * kp * (2 * d1 - i - 1)), tail2_upper + (i + 1) * (2 * d2 + i * kp)
 
 
 def breakpoint_a(params: SystemParams, i: int) -> Fraction:
@@ -94,29 +121,25 @@ def breakpoint_a(params: SystemParams, i: int) -> Fraction:
     k = params.k
     if not 0 <= i <= k - 1:
         raise IndexOutOfRangeError(f"branch index must be in 0..{k - 1}, got {i}")
-    kp, d1, d2 = params.kprime, params.d1, params.d2
-    den = 2 * k * (d1 * kp + d2 - k * kp) + kp * (i + 1) * (2 * k - i)
-    return 2 * params.file_size / den
+    return next(islice(_pieces(params), i, None))[0]
 
 
 def breakpoint_b1(params: SystemParams, i: int) -> Fraction:
     """Scenario B upper-range boundary i (kprime-independent), for i in 0..k-d1-1."""
     _require(params, Scenario.B)
-    k, d = params.k, params.d
+    k = params.k
     if not 0 <= i <= k - params.d1 - 1:
         raise IndexOutOfRangeError(f"branch index must be in 0..{k - params.d1 - 1}, got {i}")
-    den = 2 * k * (d - k) + (i + 1) * (2 * k - i)
-    return 2 * params.file_size / den
+    return next(islice(_pieces(params), i, None))[0]
 
 
 def breakpoint_b2(params: SystemParams, i: int) -> Fraction:
     """Scenario B lower-range boundary i, for i in 0..d1-1."""
     _require(params, Scenario.B)
-    k, d, d1, kp = params.k, params.d, params.d1, params.kprime
+    d1 = params.d1
     if not 0 <= i <= d1 - 1:
         raise IndexOutOfRangeError(f"branch index must be in 0..{d1 - 1}, got {i}")
-    den = (2 * k * d - k * k - d1 * d1 - d1 + k + 2 * d1 * kp) + i * kp * (2 * d1 - i - 1)
-    return 2 * params.file_size / den
+    return next(islice(_pieces(params), params.k - d1 + i, None))[0]
 
 
 def _require(params: SystemParams, scenario: Scenario) -> None:
@@ -124,48 +147,6 @@ def _require(params: SystemParams, scenario: Scenario) -> None:
         raise NotApplicableError(
             f"defined for scenario {scenario.value} only, parameters are scenario {params.scenario.value}"
         )
-
-
-# twice the total capacity (per unit beta2) of the branches already saturated
-# when i segments lie to the right of the operating point
-
-
-def _tail2_a(params: SystemParams, i: int) -> Fraction:
-    # i * (kprime * (2 (d1 - k) + i + 1) + 2 d2), with the int factors multiplied first:
-    # one Fraction multiply and one add, and piece 0 costs no more than that
-    return params.kprime * (i * (2 * (params.d1 - params.k) + i + 1)) + 2 * i * params.d2
-
-
-def _tail2_b_upper(params: SystemParams, i: int) -> Fraction:
-    return Fraction(i * (2 * params.d - 2 * params.k + i + 1))
-
-
-def _tail2_b_lower(params: SystemParams, i: int) -> Fraction:
-    return (i + 1) * (2 * params.d2 + i * params.kprime)
-
-
-# piece i of the curve, for i in 0..k-1, is alpha = (2M - tail2_i * beta2) / (2 (k - i))
-# from its start up to the start of piece i - 1; piece 0 is the flat branch
-# and piece k-1 starts at beta2_min.  Scenario B's pieces are the k - d1
-# upper-range ones followed by the d1 lower-range ones.
-
-
-def _piece_start(params: SystemParams, i: int) -> Fraction:
-    if params.scenario is Scenario.A:
-        return breakpoint_a(params, i)
-    upper = params.k - params.d1
-    if i < upper:
-        return breakpoint_b1(params, i)
-    return breakpoint_b2(params, i - upper)
-
-
-def _piece_tail2(params: SystemParams, i: int) -> Fraction:
-    if params.scenario is Scenario.A:
-        return _tail2_a(params, i)
-    upper = params.k - params.d1
-    if i < upper:
-        return _tail2_b_upper(params, i)
-    return _tail2_b_upper(params, upper - 1) + _tail2_b_lower(params, i - upper)
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +157,11 @@ def alpha_min(params: SystemParams, beta2: RationalLike) -> Fraction:
     """Least per-node storage meeting the reconstruction bound at this beta2."""
     b2 = as_nonnegative(beta2, "beta2")
     M, k = params.file_size, params.k
-    for i in range(k):
-        if b2 >= _piece_start(params, i):
-            return (2 * M - _piece_tail2(params, i) * b2) / (2 * (k - i))
+    for i, (start, tail2) in enumerate(_pieces(params)):
+        if b2 >= start:
+            return (2 * M - tail2 * b2) / (2 * (k - i))
     raise InsufficientRepairBandwidthError(
-        f"beta2={b2} is below the feasibility threshold {beta2_min(params)}"
+        f"beta2={exact_str(b2)} is below the feasibility threshold {exact_str(start)}"
     )
 
 
@@ -196,7 +177,8 @@ def alpha_min_b(params: SystemParams, beta2: RationalLike) -> Fraction:
 
 def beta2_min(params: SystemParams) -> Fraction:
     """Smallest expensive-tier download for which any storage size suffices."""
-    return _piece_start(params, params.k - 1)
+    *_, (start, _) = _pieces(params)
+    return start
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +187,8 @@ def beta2_min(params: SystemParams) -> Fraction:
 
 def gmsr_point(params: SystemParams) -> CodePoint:
     """Minimum-storage point of the two-tier curve: the start of its flat branch (alpha = M/k, least gamma)."""
-    return operating_point(params, _piece_start(params, 0))
+    start, _ = next(_pieces(params))
+    return operating_point(params, start)
 
 
 def gmbr_point(params: SystemParams) -> CodePoint:
@@ -353,7 +336,7 @@ class TradeoffCurve:
                 index = 0
                 if b2 < self.beta2_min:
                     raise InsufficientRepairBandwidthError(
-                        f"beta2={b2} is below the feasibility threshold {self.beta2_min}"
+                        f"beta2={exact_str(b2)} is below the feasibility threshold {exact_str(self.beta2_min)}"
                     )
             while index < last and segments[index + 1].beta2_lo <= b2:
                 index += 1
@@ -376,12 +359,8 @@ def tradeoff_curve(params: SystemParams) -> TradeoffCurve:
     """Assemble the alpha_min segments covering [beta2_min, infinity)."""
     M, k = params.file_size, params.k
     segments = tuple(
-        TradeoffSegment(
-            beta2_lo=_piece_start(params, i),
-            intercept=M / (k - i),
-            slope=_piece_tail2(params, i) / (2 * (k - i)),
-        )
-        for i in range(k - 1, -1, -1)
+        TradeoffSegment(beta2_lo=start, intercept=M / (k - i), slope=tail2 / (2 * (k - i)))
+        for i, (start, tail2) in reversed(list(enumerate(_pieces(params))))
     )
     return TradeoffCurve(params=params, segments=segments)
 

@@ -274,6 +274,29 @@ def test_exact_values_beyond_the_int_string_limit(k, M, capsys):
     assert len(alpha) > limit and alpha == expected_alpha
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["point", "--kind", "gmsr", "--kprime", "1e-5000"], "InvalidRatio"),
+        (["graph", "--beta2", "1e-5000"], "InsufficientRepairBandwidth"),
+        (["curve", "--M=-1e-5000"], "NonPositive"),
+        (["curve", "--c1=1e5000"], "InvalidCostOrder"),
+        (["verify", "--beta2", "1e-5000"], None),
+    ],
+)
+def test_messages_print_values_beyond_the_int_string_limit(argv, error, capsys):
+    # a message that names a value of over 4300 digits keeps its typed error, and verify its report
+    code, out, err = run_cli([*argv, "--k", "3", "--d1", "2", "--d2", "2"], capsys)
+    huge = "1" + "0" * 5000
+    if error is None:
+        assert code == 0 and err == ""
+        assert f"beta2=1/{huge} closed=infeasible oracle=infeasible" in out
+        assert out.endswith("\nagreements=1 mismatches=0\n")
+    else:
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {error}: ") and huge in err
+
+
 # ---------------------------------------------------------------------------
 # ratio and threshold
 

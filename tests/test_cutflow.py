@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_params
+from conftest import fractions_between, make_params
 from regencost import (
     InsufficientRepairBandwidthError,
     InvalidConstructionError,
@@ -287,7 +287,7 @@ def test_max_flow_matches_reference_on_random_histories(monkeypatch):
 
 _NODES = ("S", "DC", "a", "b", "c", "d")
 _CAPACITIES = st.one_of(
-    st.none(), st.just(Fraction(0)), st.fractions(min_value=0, max_value=3, max_denominator=6)
+    st.none(), st.just(Fraction(0)), fractions_between(0, 3, max_denominator=6)
 )
 
 

@@ -195,6 +195,21 @@ def _paper_beta2_min(p):
     return 2 * M / (2 * k * d - k * k + k + (d1 * d1 + d1) * (kp - 1))
 
 
+def _paper_breakpoint_a(p, i):
+    M, k, d1, d2, kp = p.file_size, p.k, p.d1, p.d2, p.kprime
+    return 2 * M / (2 * k * (d1 * kp + d2 - k * kp) + kp * (i + 1) * (2 * k - i))
+
+
+def _paper_breakpoint_b1(p, i):
+    M, k, d = p.file_size, p.k, p.d
+    return 2 * M / (2 * k * (d - k) + (i + 1) * (2 * k - i))
+
+
+def _paper_breakpoint_b2(p, i):
+    M, k, d, d1, kp = p.file_size, p.k, p.d, p.d1, p.kprime
+    return 2 * M / (2 * k * d - k * k - d1 * d1 - d1 + k + 2 * d1 * kp + i * kp * (2 * d1 - i - 1))
+
+
 def _paper_gmsr_gamma(p):
     M, k, d, d1, d2, kp = p.file_size, p.k, p.d, p.d1, p.d2, p.kprime
     if d1 >= k:
@@ -214,6 +229,22 @@ def test_beta2_min_and_extremal_gammas_match_the_paper_formulas():
         assert beta2_min(params) == _paper_beta2_min(params)
         assert gmsr_point(params).gamma == _paper_gmsr_gamma(params)
         assert gmbr_point(params).gamma == _paper_gmbr_gamma(params)
+
+
+def test_breakpoints_match_the_paper_formulas():
+    for params in SWEEP + RATIONAL:
+        k, d1 = params.k, params.d1
+        if d1 >= k:
+            families = [(breakpoint_a, _paper_breakpoint_a, k)]
+        else:
+            families = [(breakpoint_b1, _paper_breakpoint_b1, k - d1), (breakpoint_b2, _paper_breakpoint_b2, d1)]
+        starts = []
+        for breakpoint, paper, count in families:
+            for i in range(count):
+                assert breakpoint(params, i) == paper(params, i), (breakpoint.__name__, params, i)
+                starts.append(paper(params, i))
+        # piece 0 (the flat branch) starts last on the beta2 axis, piece k-1 at beta2_min
+        assert tradeoff_curve(params).breakpoints() == starts[::-1]
 
 
 def test_closed_form_does_not_use_the_cut_oracle(monkeypatch):

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fractions_between
 from regencost import NonPositiveError, RegenError, SystemParams, UsageError, cutflow, rlnc, tradeoff
 from regencost.params import CodePoint, repair_bandwidth, repair_history, total_cost, validate_params
 
 _COUNTS = st.one_of(st.integers(-1, 6), st.booleans(), st.none(), st.just("3"), st.just(2.0))
 _RATIONALS = st.one_of(
     st.integers(-2, 6),
-    st.fractions(min_value=-1, max_value=6, max_denominator=7),
+    fractions_between(-1, 6, max_denominator=7),
     st.sampled_from(["3/2", " 5/4 ", "0", "-1/3", "x/y", "1/0", "", "1e2"]),
     st.booleans(),
     st.none(),
@@ -55,16 +56,16 @@ def _valid_params(draw):
     k = draw(st.integers(1, 4))
     d1 = draw(st.integers(0, 5))
     d2 = draw(st.integers(max(0, k - d1), 5))
-    cost_cheap = draw(st.fractions(0, 3, max_denominator=4))
+    cost_cheap = draw(fractions_between(0, 3, max_denominator=4))
     return SystemParams(
         n=d1 + d2 + 1 + draw(st.integers(0, 2)),
         k=k,
         d1=d1,
         d2=d2,
-        kprime=draw(st.one_of(st.integers(1, 3), st.fractions(1, 4, max_denominator=5))),
-        file_size=draw(st.one_of(st.integers(1, 6), st.fractions(1, 6, max_denominator=5))),
+        kprime=draw(st.one_of(st.integers(1, 3), fractions_between(1, 4, max_denominator=5))),
+        file_size=draw(st.one_of(st.integers(1, 6), fractions_between(1, 6, max_denominator=5))),
         cost_cheap=cost_cheap,
-        cost_expensive=cost_cheap + draw(st.fractions(0, 3, max_denominator=4)),
+        cost_expensive=cost_cheap + draw(fractions_between(0, 3, max_denominator=4)),
     )
 
 
