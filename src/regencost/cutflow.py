@@ -15,8 +15,10 @@ three independent ways:
 All capacities stay rational; max flow runs on integer-scaled capacities
 so the comparisons are exact, never approximate.  The solve is networkx's
 Edmonds-Karp on the graph with terminal-adjacent unbounded edges merged,
-on a residual network built here and pruned to the nodes that reach the
-collector.
+on a residual network pruned to the nodes that reach the collector.  That
+network's successor and predecessor dicts are filled here in one pass and
+handed to networkx as a DiGraph that Edmonds-Karp reads as plain dicts,
+not through networkx's adjacency views.
 """
 
 from __future__ import annotations
@@ -170,6 +172,33 @@ def build_gstar(params: SystemParams, alpha: RationalLike, beta2: RationalLike) 
     return FlowGraph(edges=tuple(builder.edges))
 
 
+class _ResidualNetwork(nx.DiGraph):
+    """A DiGraph over successor and predecessor dicts filled by :func:`max_flow`.
+
+    Edmonds-Karp reads ``succ``, ``pred`` and ``R[u]`` at every step of its
+    searches and augments; here each returns the plain dict rather than a
+    networkx view, so each read is a dict lookup, not a Python call.
+    """
+
+    def __init__(self, succ: dict, pred: dict, inf: int) -> None:
+        super().__init__(inf=inf)
+        # set together, as networkx's cache-resetting descriptors on these names expect
+        self._adj = self._succ = succ
+        self._pred = pred
+        self._node = {node: {} for node in succ}
+
+    @property
+    def succ(self) -> dict:
+        return self._succ
+
+    @property
+    def pred(self) -> dict:
+        return self._pred
+
+    def __getitem__(self, node: str) -> dict:
+        return self._succ[node]
+
+
 def max_flow(graph: FlowGraph) -> Fraction:
     """Exact max flow: scale capacities to integers, merge the terminals, run networkx.
 
@@ -187,7 +216,10 @@ def max_flow(graph: FlowGraph) -> Fraction:
     ``residual=``, so networkx copies no graph.  It holds only the
     positive-capacity pairs whose head can reach the sink: flow into a
     node that cannot reach the sink has nowhere to go, so dropping those
-    pairs leaves the value as it is.
+    pairs leaves the value as it is.  One pass over those pairs fills its
+    successor and predecessor dicts, the layout of a networkx DiGraph, and
+    :class:`_ResidualNetwork` hands Edmonds-Karp those dicts themselves
+    where a DiGraph would wrap them in views.
     """
     scale = math.lcm(
         1, *(edge.capacity.denominator for edge in graph.edges if edge.capacity is not None)
@@ -222,30 +254,32 @@ def max_flow(graph: FlowGraph) -> Fraction:
     for (tail, head), capacity in capacities.items():
         if capacity > 0:
             tails_into.setdefault(head, []).append(tail)
-    reaches_sink = {SINK}
+    # Edmonds-Karp's residual network as networkx lays out a DiGraph: successor and
+    # predecessor dicts with one entry per node, each edge dict shared by both.  The
+    # nodes are the terminals and every node that reaches the sink, found by walking
+    # back from it; no pair leads into the source, so entering it up front is safe
+    succ: dict[str, dict[str, dict[str, int]]] = {SOURCE: {}, SINK: {}}
+    pred: dict[str, dict[str, dict[str, int]]] = {SOURCE: {}, SINK: {}}
     stack = [SINK]
     while stack:
         for tail in tails_into.get(stack.pop(), ()):
-            if tail not in reaches_sink:
-                reaches_sink.add(tail)
+            if tail not in succ:
+                succ[tail] = {}
+                pred[tail] = {}
                 stack.append(tail)
-    kept = {
-        key: capacity
-        for key, capacity in capacities.items()
-        if capacity > 0 and key[1] in reaches_sink
-    }
-    # Edmonds-Karp's residual network, built directly: each pair beside its reverse,
-    # which has capacity 0 unless it is a pair of its own
-    residual = nx.DiGraph()
-    residual.add_nodes_from((SOURCE, SINK))
-    residual.add_edges_from(
-        (tail, head, {"capacity": capacity}) for (tail, head), capacity in kept.items()
-    )
-    residual.add_edges_from(
-        (head, tail, {"capacity": 0}) for tail, head in kept if (head, tail) not in kept
-    )
+    kept_total = 0
+    for (tail, head), capacity in capacities.items():
+        if capacity > 0 and head in succ:
+            kept_total += capacity
+            edge = succ[tail].get(head)
+            if edge is None:
+                # each pair beside its reverse, which has capacity 0 unless it is a pair of its own
+                succ[tail][head] = pred[head][tail] = {"capacity": capacity}
+                succ[head][tail] = pred[tail][head] = {"capacity": 0}
+            else:  # placed first as the reverse of its own reverse
+                edge["capacity"] = capacity
     # networkx's stand-in for an infinite capacity; no augmenting path can carry half of it
-    residual.graph["inf"] = 3 * sum(kept.values()) or 1
+    residual = _ResidualNetwork(succ, pred, inf=3 * kept_total or 1)
     value = nx.maximum_flow_value(
         residual, SOURCE, SINK, flow_func=edmonds_karp, residual=residual
     )

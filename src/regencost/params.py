@@ -54,7 +54,7 @@ def as_fraction(value: RationalLike, what: str = "value") -> Fraction:
     raise UsageError(f"{what} must be an int, Fraction, or 'p/q' string, got {type(value).__name__}")
 
 
-def exact_str(value: Fraction | None) -> str:
+def exact_str(value: Fraction | int | None) -> str:
     """``value`` as "p/q" (or "p"), at any size; None prints as ""."""
     if value is None:
         return ""
@@ -79,7 +79,7 @@ def as_count(value: int, what: str, minimum: int = 0) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise NonIntegerDownloadError(f"{what} must be an integer count, got {value!r}")
     if value < minimum:
-        raise NonPositiveError(f"{what} must be at least {minimum}, got {value}")
+        raise NonPositiveError(f"{what} must be at least {minimum}, got {exact_str(value)}")
     return value
 
 
@@ -126,18 +126,20 @@ class SystemParams:
         for name in ("kprime", "file_size", "cost_cheap", "cost_expensive"):
             object.__setattr__(self, name, as_fraction(getattr(self, name), name))
         if self.k < 1:
-            raise NonPositiveError(f"k must be at least 1, got {self.k}")
+            raise NonPositiveError(f"k must be at least 1, got {exact_str(self.k)}")
         if self.file_size <= 0:
             raise NonPositiveError(f"file_size must be positive, got {exact_str(self.file_size)}")
         as_nonnegative(self.cost_cheap, "cost_cheap")
         if self.d1 < 0 or self.d2 < 0:
-            raise InvalidDegreeError(f"helper counts must be nonnegative, got d1={self.d1}, d2={self.d2}")
+            raise InvalidDegreeError(
+                f"helper counts must be nonnegative, got d1={exact_str(self.d1)}, d2={exact_str(self.d2)}"
+            )
         if self.n <= self.k:
-            raise InvalidDegreeError(f"n must exceed k, got n={self.n}, k={self.k}")
+            raise InvalidDegreeError(f"n must exceed k, got n={exact_str(self.n)}, k={exact_str(self.k)}")
         if self.d < self.k:
-            raise InvalidDegreeError(f"d1 + d2 must reach k, got d={self.d}, k={self.k}")
+            raise InvalidDegreeError(f"d1 + d2 must reach k, got d={exact_str(self.d)}, k={exact_str(self.k)}")
         if self.d > self.n - 1:
-            raise InvalidDegreeError(f"d1 + d2 can be at most n - 1, got d={self.d}, n={self.n}")
+            raise InvalidDegreeError(f"d1 + d2 can be at most n - 1, got d={exact_str(self.d)}, n={exact_str(self.n)}")
         if self.cost_cheap > self.cost_expensive:
             raise InvalidCostOrderError(
                 "cost_cheap must not exceed cost_expensive, got "
@@ -210,7 +212,7 @@ def repair_history(
     n, d1, d2 = params.n, params.d1, params.d2
     if not d1 <= n_cheap <= n - d2:
         raise InvalidConstructionError(
-            f"n_cheap={n_cheap} cannot supply d1={d1} cheap and d2={d2} expensive helpers"
+            f"n_cheap={exact_str(n_cheap)} cannot supply d1={d1} cheap and d2={d2} expensive helpers"
         )
     return _repair_events(params, n_cheap, failures, rng, worst_case)
 

@@ -34,6 +34,7 @@ from .errors import (
     InvalidDegreeError,
     NonPositiveError,
     NotApplicableError,
+    UsageError,
 )
 from .params import (
     CodePoint,
@@ -82,7 +83,7 @@ def _checked_single_tier(file_size: RationalLike, k: int, d: int) -> tuple[Fract
     k = as_count(k, "k", minimum=1)
     d = as_count(d, "d")
     if d < k:
-        raise InvalidDegreeError(f"d must reach k, got d={d}, k={k}")
+        raise InvalidDegreeError(f"d must reach k, got d={exact_str(d)}, k={exact_str(k)}")
     return M, k, d
 
 
@@ -118,28 +119,29 @@ def _pieces(params: SystemParams) -> Iterator[tuple[Fraction, Fraction]]:
 def breakpoint_a(params: SystemParams, i: int) -> Fraction:
     """Scenario A segment boundary i, for i in 0..k-1; boundary 0 starts the flat branch."""
     _require(params, Scenario.A)
-    k = params.k
-    if not 0 <= i <= k - 1:
-        raise IndexOutOfRangeError(f"branch index must be in 0..{k - 1}, got {i}")
-    return next(islice(_pieces(params), i, None))[0]
+    return next(islice(_pieces(params), _branch(i, params.k - 1), None))[0]
 
 
 def breakpoint_b1(params: SystemParams, i: int) -> Fraction:
     """Scenario B upper-range boundary i (kprime-independent), for i in 0..k-d1-1."""
     _require(params, Scenario.B)
-    k = params.k
-    if not 0 <= i <= k - params.d1 - 1:
-        raise IndexOutOfRangeError(f"branch index must be in 0..{k - params.d1 - 1}, got {i}")
-    return next(islice(_pieces(params), i, None))[0]
+    return next(islice(_pieces(params), _branch(i, params.k - params.d1 - 1), None))[0]
 
 
 def breakpoint_b2(params: SystemParams, i: int) -> Fraction:
     """Scenario B lower-range boundary i, for i in 0..d1-1."""
     _require(params, Scenario.B)
     d1 = params.d1
-    if not 0 <= i <= d1 - 1:
-        raise IndexOutOfRangeError(f"branch index must be in 0..{d1 - 1}, got {i}")
-    return next(islice(_pieces(params), params.k - d1 + i, None))[0]
+    return next(islice(_pieces(params), params.k - d1 + _branch(i, d1 - 1), None))[0]
+
+
+def _branch(i: int, last: int) -> int:
+    """``i`` itself when it is an int in 0..last; any other type raises UsageError."""
+    if isinstance(i, bool) or not isinstance(i, int):
+        raise UsageError(f"branch index must be an int, got {type(i).__name__}")
+    if not 0 <= i <= last:
+        raise IndexOutOfRangeError(f"branch index must be in 0..{last}, got {exact_str(i)}")
+    return i
 
 
 def _require(params: SystemParams, scenario: Scenario) -> None:

@@ -10,6 +10,7 @@ import networkx.algorithms.flow.edmondskarp as edmondskarp_module
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from networkx.algorithms.flow import boykov_kolmogorov
 
 from conftest import fractions_between, make_params
 from regencost import (
@@ -215,7 +216,7 @@ def test_max_flow_sums_parallel_edges():
 
 
 def _reference_max_flow(graph):
-    """The plain solve: every edge kept, integer-scaled, default networkx max flow."""
+    """The plain solve: every edge kept, integer-scaled, networkx's Boykov-Kolmogorov on its own residual network."""
     scale = math.lcm(1, *(e.capacity.denominator for e in graph.edges if e.capacity is not None))
     capacities = {}
     for edge in graph.edges:
@@ -227,7 +228,7 @@ def _reference_max_flow(graph):
     digraph = nx.DiGraph()
     digraph.add_nodes_from((SOURCE, SINK))
     digraph.add_edges_from((tail, head, {"capacity": capacity}) for (tail, head), capacity in capacities.items())
-    return Fraction(nx.maximum_flow_value(digraph, SOURCE, SINK), scale)
+    return Fraction(nx.maximum_flow_value(digraph, SOURCE, SINK, flow_func=boykov_kolmogorov), scale)
 
 
 def _finite_total(graph):
@@ -259,8 +260,36 @@ def _history_graphs(seed, count):
         )
 
 
+def _assert_consistent_residual(residual, capacities, value):
+    """One solve's residual network, read through networkx's public API after the solve.
+
+    ``capacities`` are its edge capacities as the solve found them and ``value``
+    is the integer flow value the solve returned.
+    """
+    succ, pred = residual.succ, residual.pred
+    edges = {(u, v): data for u, v, data in residual.edges(data=True)}
+    assert {(u, v) for u in residual.adj for v in residual.adj[u]} == edges.keys()
+    assert {(u, v) for u in succ for v in succ[u]} == edges.keys()
+    assert set(residual.nodes) == set(succ) == set(pred) >= {SOURCE, SINK}
+    assert {key: data["capacity"] for key, data in edges.items()} == capacities
+    for (u, v), data in edges.items():
+        assert data is succ[u][v] is pred[v][u] is residual[u][v]
+        assert (v, u) in edges  # each pair beside its reverse, one of the two positive
+        assert isinstance(data["capacity"], int) and data["capacity"] >= 0
+        assert data["capacity"] > 0 or edges[(v, u)]["capacity"] > 0
+        # the flow Edmonds-Karp left: antisymmetric and within capacity
+        assert data["flow"] == -edges[(v, u)]["flow"]
+        assert data["flow"] <= data["capacity"]
+    for node in residual.nodes:
+        if node not in (SOURCE, SINK):
+            assert sum(data["flow"] for data in succ[node].values()) == 0, node  # conserved
+    assert sum(data["flow"] for data in succ[SOURCE].values()) == value
+    assert residual.graph["inf"] == (3 * sum(capacities.values()) or 1)
+
+
 def _assert_max_flow_matches_reference(monkeypatch, graphs):
-    """max_flow equals the reference on each graph, and never asks networkx for a residual network."""
+    """max_flow equals the reference on each graph, never asks networkx for a residual network,
+    and leaves a consistent residual network and flow behind each solve."""
     # the reference solve builds a residual network itself, so every reference comes first
     cases = [(where, graph, _reference_max_flow(graph)) for where, graph in graphs]
 
@@ -268,8 +297,23 @@ def _assert_max_flow_matches_reference(monkeypatch, graphs):
         raise AssertionError("max_flow must pass its own residual network")
 
     monkeypatch.setattr(edmondskarp_module, "build_residual_network", refuse)
+    solves = []
+    solve = nx.maximum_flow_value
+
+    def recording(graph, *args, **kwargs):
+        capacities = {(u, v): capacity for u, v, capacity in graph.edges(data="capacity")}
+        value = solve(graph, *args, **kwargs)
+        solves.append((kwargs["residual"], capacities, value))
+        return value
+
+    monkeypatch.setattr(nx, "maximum_flow_value", recording)
     for where, graph, reference in cases:
         assert max_flow(graph) == reference, where
+        (solved,) = solves
+        _assert_consistent_residual(*solved)
+        scale = math.lcm(1, *(e.capacity.denominator for e in graph.edges if e.capacity is not None))
+        assert solved[2] == reference * scale, where
+        solves.clear()
 
 
 def test_max_flow_matches_reference_on_gstar_sweep(monkeypatch):

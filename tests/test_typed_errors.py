@@ -10,8 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fractions_between
-from regencost import NonPositiveError, RegenError, SystemParams, UsageError, cutflow, rlnc, tradeoff
-from regencost.params import CodePoint, repair_bandwidth, repair_history, total_cost, validate_params
+from regencost import (
+    IndexOutOfRangeError,
+    InvalidConstructionError,
+    InvalidDegreeError,
+    NonPositiveError,
+    RegenError,
+    SystemParams,
+    UsageError,
+    cutflow,
+    rlnc,
+    tradeoff,
+)
+from regencost.params import CodePoint, as_count, repair_bandwidth, repair_history, total_cost, validate_params
 
 _COUNTS = st.one_of(st.integers(-1, 6), st.booleans(), st.none(), st.just("3"), st.just(2.0))
 _RATIONALS = st.one_of(
@@ -219,3 +230,37 @@ def test_usage_error_is_still_a_value_error():
         SystemParams(3, 1, 1, 1, kprime="x/y")
     assert isinstance(info.value, ValueError)  # callers catching ValueError still catch it
     assert info.value.code == "Usage"
+
+
+_HUGE = 10**5000  # str() of an int past 4300 digits raises ValueError
+_P = SystemParams(4, 2, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: as_count(-_HUGE, "x"), NonPositiveError),
+        (lambda: SystemParams(4, _HUGE, 2, 1), InvalidDegreeError),
+        (lambda: tradeoff.breakpoint_a(_P, _HUGE), IndexOutOfRangeError),
+        (lambda: tradeoff.breakpoint_a(_P, "1"), UsageError),
+        (lambda: tradeoff.breakpoint_a(_P, 1.0), UsageError),
+        (lambda: tradeoff.breakpoint_a(_P, True), UsageError),
+        (lambda: tradeoff.msr_point(1, _HUGE, 1), InvalidDegreeError),
+        (lambda: repair_history(_P, _HUGE, 1, Random(0)), InvalidConstructionError),
+    ],
+    ids=["huge-count", "huge-k", "huge-index", "str-index", "float-index", "bool-index", "huge-msr-k",
+         "huge-n-cheap"],
+)
+def test_huge_ints_and_wrong_index_types_raise_typed_errors(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert len(str(info.value)) > 0  # the message itself formats
+
+
+@pytest.mark.parametrize("index", ["0", 0.0, True, False, None])
+def test_every_breakpoint_family_refuses_a_non_int_index(index):
+    a_side, b_side = SystemParams(5, 2, 3, 1), SystemParams(5, 3, 1, 2)
+    for call, params in ((tradeoff.breakpoint_a, a_side), (tradeoff.breakpoint_b1, b_side),
+                         (tradeoff.breakpoint_b2, b_side)):
+        with pytest.raises(UsageError, match="^branch index must be an int, got "):
+            call(params, index)
