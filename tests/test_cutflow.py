@@ -188,6 +188,15 @@ def test_gstar_storage_pairs_and_acyclicity():
             assert edge.capacity == F(3, 8)
 
 
+def test_gstar_edge_lists_match_frozen_digest():
+    # every edge of every G* in a sweep of both scenarios, in build order, frozen so a
+    # change of any newcomer's helpers or of their order shows
+    digest = hashlib.sha256()
+    for params in verification_sweep(max_k=6, max_d=9, kprimes=(1, 2, F(5, 2))):
+        digest.update(to_edge_list(build_gstar(params, F(1, 2), F(1, 3))).encode() + b"\n")
+    assert digest.hexdigest() == "39ce1e7f96a89a1a87bdfa8ad12e70d1850acdc575822773b7523c5f74c9432d"
+
+
 def test_max_flow_values():
     assert max_flow(build_gstar(A_SMALL, F(11, 20), F(3, 20))) == 1
     assert max_flow(build_gstar(A_SMALL, 2, F(3, 20))) == F(6, 5)  # alpha stops binding
