@@ -27,14 +27,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import networkx as nx
 from networkx.algorithms.flow import edmonds_karp
 
 from . import tradeoff
-from .errors import InsufficientRepairBandwidthError
-from .params import RationalLike, Scenario, SystemParams, as_nonnegative, as_rng, exact_str, repair_history
+from .errors import InsufficientRepairBandwidthError, NonPositiveError, UsageError
+from .params import RationalLike, Scenario, SystemParams, as_count, as_nonnegative, as_rng, exact_str, repair_history
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +89,7 @@ def alpha_min_oracle(params: SystemParams, beta2: RationalLike) -> Fraction:
 # explicit flow graphs
 
 
-@dataclass(frozen=True)
-class FlowEdge:
+class FlowEdge(NamedTuple):
     tail: str
     head: str
     capacity: Fraction | None  # None marks an unbounded edge
@@ -115,19 +114,26 @@ class FlowGraph:
 
 
 class _GraphBuilder:
-    def __init__(self, alpha: Fraction) -> None:
-        self.alpha = alpha
+    """A repair history's edges, one stored node (an in/out pair joined by alpha) at a time.
+
+    Originals are fed by the source over unbounded edges; a newcomer
+    downloads beta1 from each cheap helper, then beta2 from each expensive one.
+    """
+
+    def __init__(self, alpha: Fraction, beta1: Fraction, beta2: Fraction) -> None:
+        self.alpha, self.beta1, self.beta2 = alpha, beta1, beta2
         self.edges: list[FlowEdge] = []
 
-    def add_storage(self, name: str, from_source: bool) -> str:
-        """Add an in/out pair joined by the alpha edge; return the node name."""
-        self.edges.append(FlowEdge(f"{name}.in", f"{name}.out", self.alpha))
-        if from_source:
-            self.edges.append(FlowEdge(SOURCE, f"{name}.in", None))
+    def add_original(self, name: str) -> str:
+        self.edges += (FlowEdge(f"{name}.in", f"{name}.out", self.alpha), FlowEdge(SOURCE, f"{name}.in", None))
         return name
 
-    def add_download(self, helper: str, newcomer: str, amount: Fraction) -> None:
-        self.edges.append(FlowEdge(f"{helper}.out", f"{newcomer}.in", amount))
+    def add_newcomer(self, name: str, cheap: Iterable[str], expensive: Iterable[str]) -> str:
+        head = f"{name}.in"
+        self.edges.append(FlowEdge(head, f"{name}.out", self.alpha))
+        self.edges += (FlowEdge(f"{helper}.out", head, self.beta1) for helper in cheap)
+        self.edges += (FlowEdge(f"{helper}.out", head, self.beta2) for helper in expensive)
+        return name
 
     def add_collector_read(self, name: str) -> None:
         self.edges.append(FlowEdge(f"{name}.out", SINK, None))
@@ -136,37 +142,25 @@ class _GraphBuilder:
 def build_gstar(params: SystemParams, alpha: RationalLike, beta2: RationalLike) -> FlowGraph:
     """Build the adversarial history: k newcomers, each helped by all previous ones.
 
-    Scenario A replaces cheap nodes only; Scenario B first exhausts the
-    cheap tier (newcomers 0..d1-1) and then replaces expensive nodes,
-    which turns earlier newcomers into expensive helpers of later ones.
+    The originals are d1 cheap nodes, then d2 expensive ones; each
+    newcomer tops its helper sets up from them to d1 cheap and d2
+    expensive helpers.  Newcomer j's cheap helpers are the first d1
+    earlier newcomers and the first d1 - j cheap originals (none once
+    j >= d1); its expensive helpers are the other earlier newcomers and
+    the first d - j expensive originals, all of them while j <= d1.
     The collector reads exactly the k newcomers.
     """
     a = as_nonnegative(alpha, "alpha")
     b2 = as_nonnegative(beta2, "beta2")
-    b1 = params.kprime * b2
-    k, d1, d2 = params.k, params.d1, params.d2
-    builder = _GraphBuilder(a)
-    cheap_pool = [builder.add_storage(f"o{i}", from_source=True) for i in range(d1)]
-    expensive_pool = [
-        builder.add_storage(f"o{d1 + i}", from_source=True) for i in range(d2)
-    ]
+    k, d, d1 = params.k, params.d, params.d1
+    builder = _GraphBuilder(a, params.kprime * b2, b2)
+    cheap_pool = [builder.add_original(f"o{i}") for i in range(d1)]
+    expensive_pool = [builder.add_original(f"o{i}") for i in range(d1, d)]
     newcomers: list[str] = []
     for j in range(k):
-        name = builder.add_storage(f"x{j}", from_source=False)
-        if params.scenario is Scenario.A or j <= d1:
-            for prev in newcomers:
-                builder.add_download(prev, name, b1)
-            for helper in cheap_pool[: d1 - j]:
-                builder.add_download(helper, name, b1)
-            for helper in expensive_pool:
-                builder.add_download(helper, name, b2)
-        else:
-            for prev in newcomers[:d1]:
-                builder.add_download(prev, name, b1)
-            for prev in newcomers[d1:]:
-                builder.add_download(prev, name, b2)
-            for helper in expensive_pool[: params.d - j]:
-                builder.add_download(helper, name, b2)
+        cheap = newcomers[:d1] + cheap_pool[: max(d1 - j, 0)]
+        expensive = newcomers[d1:] + expensive_pool[: d - j]
+        name = builder.add_newcomer(f"x{j}", cheap, expensive)
         builder.add_collector_read(name)
         newcomers.append(name)
     return FlowGraph(edges=tuple(builder.edges))
@@ -221,29 +215,27 @@ def max_flow(graph: FlowGraph) -> Fraction:
     :class:`_ResidualNetwork` hands Edmonds-Karp those dicts themselves
     where a DiGraph would wrap them in views.
     """
-    scale = math.lcm(
-        1, *(edge.capacity.denominator for edge in graph.edges if edge.capacity is not None)
-    )
+    scale = math.lcm(1, *(capacity.denominator for _, _, capacity in graph.edges if capacity is not None))
     side: dict[str, str] = {}
-    for edge in graph.edges:
-        if edge.capacity is None:
-            if edge.tail == SOURCE and edge.head not in (SOURCE, SINK):
-                side[edge.head] = SOURCE
-            elif edge.head == SINK and edge.tail not in (SOURCE, SINK):
-                side.setdefault(edge.tail, SINK)
+    for tail, head, capacity in graph.edges:
+        if capacity is None:
+            if tail == SOURCE and head not in (SOURCE, SINK):
+                side[head] = SOURCE
+            elif head == SINK and tail not in (SOURCE, SINK):
+                side.setdefault(tail, SINK)
     capacities: dict[tuple[str, str], int] = {}
     finite_total = 0
     unbounded: list[tuple[str, str]] = []
-    for edge in graph.edges:
-        if edge.capacity is not None:
-            scaled = edge.capacity.numerator * (scale // edge.capacity.denominator)
+    for tail, head, capacity in graph.edges:
+        if capacity is not None:
+            scaled = capacity.numerator * (scale // capacity.denominator)
             finite_total += scaled
-        tail = side.get(edge.tail, edge.tail)
-        head = side.get(edge.head, edge.head)
+        tail = side.get(tail, tail)
+        head = side.get(head, head)
         if tail == head or head == SOURCE or tail == SINK:
             continue
         key = (tail, head)
-        if edge.capacity is None:
+        if capacity is None:
             unbounded.append(key)
         else:
             capacities[key] = capacities.get(key, 0) + scaled
@@ -289,11 +281,11 @@ def max_flow(graph: FlowGraph) -> Fraction:
 def to_edge_list(graph: FlowGraph) -> str:
     """One line per edge: `tail head num/den`, with `inf` for unbounded edges."""
     lines = []
-    for edge in graph.edges:
-        if edge.capacity is None:
-            lines.append(f"{edge.tail} {edge.head} inf")
+    for tail, head, capacity in graph.edges:
+        if capacity is None:
+            lines.append(f"{tail} {head} inf")
         else:
-            lines.append(f"{edge.tail} {edge.head} {edge.capacity.numerator}/{edge.capacity.denominator}")
+            lines.append(f"{tail} {head} {capacity.numerator}/{capacity.denominator}")
     return "\n".join(lines)
 
 
@@ -340,11 +332,20 @@ def verify_closed_form(
     params: SystemParams,
     beta2_grid: Iterable[RationalLike] | None = None,
 ) -> list[CutReport]:
-    """Compare alpha_min against the oracle and the graph on each grid point."""
+    """Compare alpha_min against the oracle and the graph on each grid point.
+
+    A given grid must be a non-string iterable of beta2 values
+    (UsageError otherwise) holding at least one of them
+    (NonPositiveError otherwise): an empty check would pass vacuously.
+    """
     if beta2_grid is None:
         grid = default_beta2_grid(params)
     else:
+        if isinstance(beta2_grid, str) or not isinstance(beta2_grid, Iterable):
+            raise UsageError(f"beta2_grid must be an iterable of beta2 values, got {type(beta2_grid).__name__}")
         grid = sorted({as_nonnegative(b2, "beta2") for b2 in beta2_grid})
+        if not grid:
+            raise NonPositiveError("beta2_grid must hold at least one beta2 value")
     reports = []
     for b2 in grid:
         try:
@@ -380,23 +381,22 @@ def verify_closed_form(
 def verification_sweep(
     max_k: int = 5,
     max_d: int = 7,
-    kprimes: Sequence[int] = (1, 2, 3, 5),
+    kprimes: Sequence[RationalLike] = (1, 2, 3, 5),
 ) -> Iterator[SystemParams]:
-    """Every (k, d1, d2, kprime) with k <= max_k, k <= d1+d2 <= max_d; n = d+1."""
-    for k in range(1, max_k + 1):
-        for d1 in range(0, max_d + 1):
-            for d2 in range(0, max_d - d1 + 1):
-                if d1 + d2 < k:
-                    continue
-                for kprime in kprimes:
-                    yield SystemParams(
-                        n=d1 + d2 + 1,
-                        k=k,
-                        d1=d1,
-                        d2=d2,
-                        kprime=Fraction(kprime),
-                        cost_expensive=Fraction(2),
-                    )
+    """Every (k, d1, d2, kprime) with k <= max_k, k <= d1+d2 <= max_d; n = d+1.
+
+    ``max_k`` and ``max_d`` are counts, checked when the sweep is created;
+    each kprime goes to :class:`SystemParams` as given, which checks it.
+    """
+    max_k = as_count(max_k, "max_k")
+    max_d = as_count(max_d, "max_d")
+    return (
+        SystemParams(n=d1 + d2 + 1, k=k, d1=d1, d2=d2, kprime=kprime, cost_expensive=Fraction(2))
+        for k in range(1, max_k + 1)
+        for d1 in range(max_d + 1)
+        for d2 in range(max(k - d1, 0), max_d - d1 + 1)
+        for kprime in kprimes
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -421,18 +421,13 @@ def random_history_graph(
     """
     a = as_nonnegative(alpha, "alpha")
     b2 = as_nonnegative(beta2, "beta2")
-    b1 = params.kprime * b2
     if n_cheap is None:
         n_cheap = as_rng(rng).randint(params.d1, params.n - params.d2)
     history = repair_history(params, n_cheap, failures, rng)
-    builder = _GraphBuilder(a)
-    live = {i: builder.add_storage(f"o{i}", from_source=True) for i in range(params.n)}
+    builder = _GraphBuilder(a, params.kprime * b2, b2)
+    live = [builder.add_original(f"o{i}") for i in range(params.n)]
     for t, (failed, cheap, expensive) in enumerate(history):
-        name = builder.add_storage(f"x{t}", from_source=False)
-        for helpers, amount in ((cheap, b1), (expensive, b2)):
-            for helper in helpers:
-                builder.add_download(live[helper], name, amount)
-        live[failed] = name
-    for reader in rng.sample(sorted(live), params.k):
+        live[failed] = builder.add_newcomer(f"x{t}", [live[h] for h in cheap], [live[h] for h in expensive])
+    for reader in rng.sample(range(params.n), params.k):
         builder.add_collector_read(live[reader])
     return FlowGraph(edges=tuple(builder.edges))

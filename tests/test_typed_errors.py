@@ -14,6 +14,7 @@ from regencost import (
     IndexOutOfRangeError,
     InvalidConstructionError,
     InvalidDegreeError,
+    NonIntegerDownloadError,
     NonPositiveError,
     RegenError,
     SystemParams,
@@ -264,3 +265,24 @@ def test_every_breakpoint_family_refuses_a_non_int_index(index):
                          (tradeoff.breakpoint_b2, b_side)):
         with pytest.raises(UsageError, match="^branch index must be an int, got "):
             call(params, index)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: list(cutflow.verification_sweep(max_k=1, max_d=1, kprimes=(1.5,))), UsageError),
+        (lambda: list(cutflow.verification_sweep(max_k=1, max_d=1, kprimes="ab")), UsageError),
+        (lambda: list(cutflow.verification_sweep(max_k="3")), NonIntegerDownloadError),
+        (lambda: list(cutflow.verification_sweep(max_d=2.5)), NonIntegerDownloadError),
+        (lambda: list(cutflow.verification_sweep(max_k=True)), NonIntegerDownloadError),
+        (lambda: list(cutflow.verification_sweep(max_d=-1)), NonPositiveError),
+        (lambda: cutflow.verify_closed_form(_P, 5), UsageError),
+        (lambda: cutflow.verify_closed_form(_P, "12"), UsageError),
+        (lambda: cutflow.verify_closed_form(_P, []), NonPositiveError),
+    ],
+    ids=["float-kprime", "str-kprimes", "str-max-k", "float-max-d", "bool-max-k", "negative-max-d",
+         "int-grid", "str-grid", "empty-grid"],
+)
+def test_sweep_helpers_raise_typed_errors(call, error):
+    with pytest.raises(error):
+        call()
