@@ -9,8 +9,8 @@ worst-case flow graph), and ``paper-figures`` (the sweep CSVs behind the
 reference figures).
 
 Exact rationals print as "p/q" next to a 12-significant-digit decimal
-column.  Exit codes: 0 success, 1 verification mismatch, 2 usage or
-validation error.
+column; :func:`_exact_cells` is the one place that pairs them.  Exit
+codes: 0 success, 1 verification mismatch, 2 usage or validation error.
 
 :func:`main` parses with one parser per process, built on its first call,
 so callers that run many commands in one process (tests, notebooks, the
@@ -65,9 +65,7 @@ _MAX_SAMPLES = 100_000
 _FLOAT_MIN = sys.float_info.min
 
 
-def _decimal(value: Fraction | None) -> str:
-    if value is None:
-        return ""
+def _decimal(value: Fraction) -> str:
     try:
         approx = float(value)
     except OverflowError:
@@ -81,6 +79,11 @@ def _decimal(value: Fraction | None) -> str:
         context.prec = 12
         rounded = Decimal(value.numerator) / value.denominator
     return f"{rounded.normalize():g}"
+
+
+def _exact_cells(value: Fraction) -> tuple[str, str]:
+    """The two CSV cells of an exact value: "p/q", then its 12-digit decimal."""
+    return exact_str(value), _decimal(value)
 
 
 def _write_csv(stream: TextIO, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
@@ -137,11 +140,10 @@ def _point_for_kind(params: SystemParams, kind: str) -> CodePoint:
 def cmd_point(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
     point = _point_for_kind(params, args.kind)
-    values = [(field, getattr(point, field)) for field in ("alpha", "beta1", "beta2", "gamma", "cost")]
     rows = [
         ["kind", args.kind, ""],
         ["scenario", params.scenario.value, ""],
-        *([field, exact_str(value), _decimal(value)] for field, value in values),
+        *([field, *_exact_cells(getattr(point, field))] for field in ("alpha", "beta1", "beta2", "gamma", "cost")),
         ["beta1_exceeds_alpha", str(point.beta1_exceeds_alpha).lower(), ""],
     ]
     _write_csv(sys.stdout, ["field", "exact", "decimal"], rows)
@@ -152,18 +154,8 @@ def cmd_point(args: argparse.Namespace) -> int:
 # curve
 
 
-_CURVE_HEADER = [
-    "beta2",
-    "beta2_decimal",
-    "beta1",
-    "beta1_decimal",
-    "alpha",
-    "alpha_decimal",
-    "gamma",
-    "gamma_decimal",
-    "cost",
-    "cost_decimal",
-]
+_CURVE_FIELDS = ("beta2", "beta1", "alpha", "gamma", "cost")
+_CURVE_HEADER = [name for field in _CURVE_FIELDS for name in (field, f"{field}_decimal")]
 
 
 def _curve_rows(params: SystemParams, samples: int, breakpoints_only: bool) -> list[list[str]]:
@@ -182,18 +174,7 @@ def _curve_rows(params: SystemParams, samples: int, breakpoints_only: bool) -> l
         samples_grid = [low + step * i for i in range(samples)]
         grid = [beta2 for beta2, _ in groupby(heapq.merge(samples_grid, breakpoints))]
     return [
-        [
-            exact_str(point.beta2),
-            _decimal(point.beta2),
-            exact_str(point.beta1),
-            _decimal(point.beta1),
-            exact_str(point.alpha),
-            _decimal(point.alpha),
-            exact_str(point.gamma),
-            _decimal(point.gamma),
-            exact_str(point.cost),
-            _decimal(point.cost),
-        ]
+        [cell for field in _CURVE_FIELDS for cell in _exact_cells(getattr(point, field))]
         for point in curve.points(grid)
     ]
 
@@ -233,16 +214,7 @@ def _ratio_rows(
             point = replace(base, kprime=Fraction(kprime))
             rho = tradeoff.bandwidth_ratio(point, kind)
             eta = tradeoff.cost_ratio(point, kind)
-            rows.append(
-                [
-                    str(kprime),
-                    exact_str(rho),
-                    _decimal(rho),
-                    exact_str(eta),
-                    _decimal(eta),
-                    exact_str(ratio),
-                ]
-            )
+            rows.append([str(kprime), *_exact_cells(rho), *_exact_cells(eta), exact_str(ratio)])
     return rows
 
 
@@ -270,7 +242,7 @@ def _threshold_rows(params: SystemParams, kinds: Sequence[str]) -> list[list[str
     for kind in kinds:
         try:
             value = tradeoff.cost_threshold(params, kind)
-            rows.append([kind, params.scenario.value, exact_str(value), _decimal(value)])
+            rows.append([kind, params.scenario.value, *_exact_cells(value)])
         except NotApplicableError:
             rows.append([kind, params.scenario.value, "NA", "NA"])
     return rows
@@ -296,6 +268,11 @@ def _report_payload(report: cutflow.CutReport) -> dict[str, object]:
         "agree": report.agree,
         "flow_ok": report.flow_ok,
     }
+
+
+def _alpha_text(alpha: Fraction | None) -> str:
+    """An alpha of a verify text line; None, where beta2 is below the curve, prints as "infeasible"."""
+    return "infeasible" if alpha is None else exact_str(alpha)
 
 
 def _sweep_reproducer(params: SystemParams, beta2: Fraction) -> str:
@@ -324,11 +301,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 points += 1
                 if not report.ok:
                     mismatches.append((params, report))
-        if not configs:
-            raise NonPositiveError(
-                f"sweep with max_k={args.max_k} max_d={args.max_d} covers no configurations; "
-                "both limits must be at least 1"
-            )
         if args.format == "json":
             payload = {
                 "configs": configs,
@@ -349,7 +321,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             for p, r in mismatches:
                 print(
                     f"MISMATCH k={p.k} d1={p.d1} d2={p.d2} kprime={exact_str(p.kprime)} "
-                    f"beta2={exact_str(r.beta2)} closed={exact_str(r.alpha_closed)} oracle={exact_str(r.alpha_oracle)} "
+                    f"beta2={exact_str(r.beta2)} closed={_alpha_text(r.alpha_closed)} oracle={_alpha_text(r.alpha_oracle)} "
                     f"maxflow={exact_str(r.maxflow_at_alpha)} | reproduce: {_sweep_reproducer(p, r.beta2)}"
                 )
             print(f"configs={configs} points={points} mismatches={len(mismatches)}")
@@ -367,12 +339,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for r in reports:
-            closed = exact_str(r.alpha_closed) if r.alpha_closed is not None else "infeasible"
-            oracle = exact_str(r.alpha_oracle) if r.alpha_oracle is not None else "infeasible"
-            status = "ok" if r.ok else "MISMATCH"
             print(
-                f"beta2={exact_str(r.beta2)} closed={closed} oracle={oracle} "
-                f"maxflow={exact_str(r.maxflow_at_alpha)} {status}"
+                f"beta2={exact_str(r.beta2)} closed={_alpha_text(r.alpha_closed)} oracle={_alpha_text(r.alpha_oracle)} "
+                f"maxflow={exact_str(r.maxflow_at_alpha)} {'ok' if r.ok else 'MISMATCH'}"
             )
         print(f"agreements={len(reports) - bad} mismatches={bad}")
     return 0 if bad == 0 else 1
@@ -380,6 +349,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 # simulate
+
+# the simulate options, besides the system parameters, that fix what one seeded trial does;
+# the JSON config and the reproducer both list them from here, so a rerun gets every one
+_TRIAL_OPTIONS = ("alpha_sym", "beta2_sym", "failures", "field", "helper_mode", "n_cheap", "max_subsets")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -418,15 +391,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                     flag: getattr(params, field) if kind is int else exact_str(getattr(params, field))
                     for flag, field, kind, _ in _PARAM_FLAGS
                 },
-                "alpha_sym": args.alpha_sym,
-                "beta2_sym": args.beta2_sym,
-                "failures": args.failures,
+                **{option: getattr(args, option) for option in _TRIAL_OPTIONS},
                 "trials": args.trials,
                 "seed": seed,
-                "field": field.name,
-                "helper_mode": args.helper_mode,
-                "n_cheap": args.n_cheap,
-                "max_subsets": args.max_subsets,
             },
             "trials": [
                 {
@@ -467,14 +434,9 @@ def _simulate_reproducer(params: SystemParams, args: argparse.Namespace, seed: i
     """The ``simulate`` call that runs the one trial of this seed with the run's own settings."""
     flags = [f"--{flag} {exact_str(getattr(params, field))}" for flag, field, _, _ in _PARAM_FLAGS]
     flags += [
-        f"--alpha-sym {args.alpha_sym}",
-        f"--beta2-sym {args.beta2_sym}",
-        f"--failures {args.failures}",
-        f"--field {args.field}",
-        f"--helper-mode {args.helper_mode}",
-        *([] if args.n_cheap is None else [f"--n-cheap {args.n_cheap}"]),
-        f"--max-subsets {args.max_subsets}",
-        f"--format {args.format}",
+        f"--{option.replace('_', '-')} {getattr(args, option)}"
+        for option in (*_TRIAL_OPTIONS, "format")
+        if getattr(args, option) is not None
     ]
     return f"regencost simulate {' '.join(flags)} --trials 1 --seed {seed}"
 
@@ -511,21 +473,13 @@ def cmd_paper_figures(args: argparse.Namespace) -> int:
             _write_csv(handle, header, rows)
         written.append(path)
 
-    write(
-        "msr_ratio_sweep_a.csv",
-        _RATIO_HEADER,
-        _ratio_rows(config_a, "msr", _FIGURE_KPRIMES, [frac(3, 2), frac(2), frac(3), frac(4)]),
+    ratio_sweeps = (
+        ("msr_ratio_sweep_a.csv", config_a, "msr", (frac(3, 2), frac(2), frac(3), frac(4))),
+        ("mbr_ratio_sweep_a.csv", config_a, "mbr", (frac(1), frac(4, 3), frac(2), frac(4))),
+        ("mbr_ratio_sweep_b.csv", config_b, "mbr", (frac(3, 2), frac(2), frac(3), frac(4))),
     )
-    write(
-        "mbr_ratio_sweep_a.csv",
-        _RATIO_HEADER,
-        _ratio_rows(config_a, "mbr", _FIGURE_KPRIMES, [frac(1), frac(4, 3), frac(2), frac(4)]),
-    )
-    write(
-        "mbr_ratio_sweep_b.csv",
-        _RATIO_HEADER,
-        _ratio_rows(config_b, "mbr", _FIGURE_KPRIMES, [frac(3, 2), frac(2), frac(3), frac(4)]),
-    )
+    for name, config, kind, ratios in ratio_sweeps:
+        write(name, _RATIO_HEADER, _ratio_rows(config, kind, _FIGURE_KPRIMES, ratios))
     curve_rows = []
     for kprime in (1, 2, 4):
         tiered = replace(config_a, kprime=Fraction(kprime))
@@ -538,9 +492,9 @@ def cmd_paper_figures(args: argparse.Namespace) -> int:
             base = replace(config_a, cost_cheap=frac(1), cost_expensive=ratio)
             for kprime in _FIGURE_KPRIMES:
                 eta = tradeoff.cost_ratio(replace(base, kprime=frac(kprime)), kind)
-                eta_rows.append([kind, exact_str(ratio), str(kprime), exact_str(eta), _decimal(eta)])
+                eta_rows.append([kind, exact_str(ratio), str(kprime), *_exact_cells(eta)])
             limit = tradeoff.cost_ratio_limit(base, kind)
-            eta_rows.append([kind, exact_str(ratio), "inf", exact_str(limit), _decimal(limit)])
+            eta_rows.append([kind, exact_str(ratio), "inf", *_exact_cells(limit)])
     write(
         "cost_ratio_vs_kprime_a.csv",
         ["kind", "cost_ratio", "kprime", "eta", "eta_decimal"],

@@ -34,7 +34,7 @@ from networkx.algorithms.flow import edmonds_karp
 
 from . import tradeoff
 from .errors import InsufficientRepairBandwidthError, NonPositiveError, UsageError
-from .params import RationalLike, Scenario, SystemParams, as_count, as_nonnegative, as_rng, exact_str, repair_history
+from .params import RationalLike, SystemParams, as_count, as_nonnegative, as_rng, exact_str, repair_history
 
 
 # ---------------------------------------------------------------------------
@@ -44,17 +44,16 @@ from .params import RationalLike, Scenario, SystemParams, as_count, as_nonnegati
 def cut_terms(params: SystemParams, beta2: RationalLike) -> list[Fraction]:
     """Unclipped in-capacities of the worst-case newcomers, in replacement order.
 
-    Newcomer i loses one helper edge to each earlier newcomer on the
-    collector side of the cut; the remaining in-capacity is the term that
-    competes with alpha.
+    The i earlier newcomers, all on the collector side of the cut, fill
+    min(i, d1) of newcomer i's cheap helper slots and max(i - d1, 0) of its
+    expensive ones.  Term i is its download from the originals: d1 -
+    min(i, d1) cheap helpers at beta1 = kprime * beta2 and d2 - max(i - d1, 0)
+    expensive ones at beta2; it competes with alpha.  This is the helper
+    rule of :func:`build_gstar`, counted here without building the graph.
     """
     b2 = as_nonnegative(beta2, "beta2")
-    k, d, d1, d2, kp = params.k, params.d, params.d1, params.d2, params.kprime
-    if params.scenario is Scenario.A:
-        return [(d1 * kp + d2 - i * kp) * b2 for i in range(k)]
-    terms = [(d1 * kp + d2 - i * kp) * b2 for i in range(min(d1, k - 1) + 1)]
-    terms.extend(Fraction(d - i) * b2 for i in range(d1 + 1, k))
-    return terms
+    k, d1, d2, kp = params.k, params.d1, params.d2, params.kprime
+    return [((d1 - min(i, d1)) * kp + d2 - max(i - d1, 0)) * b2 for i in range(k)]
 
 
 def cut_capacity_sum(params: SystemParams, alpha: RationalLike, beta2: RationalLike) -> Fraction:
@@ -385,14 +384,19 @@ def verification_sweep(
 ) -> Iterator[SystemParams]:
     """Every (k, d1, d2, kprime) with k <= max_k, k <= d1+d2 <= max_d; n = d+1.
 
-    ``max_k`` and ``max_d`` are counts, checked when the sweep is created;
-    each kprime goes to :class:`SystemParams` as given, which checks it.
+    ``max_k`` and ``max_d`` are counts of at least 1 and ``kprimes`` is not
+    empty, all checked when the sweep is created, so a sweep never covers
+    zero configurations; each kprime goes to :class:`SystemParams` as given,
+    which checks it.  No config has k > d, so k runs only to min(max_k, max_d)
+    and a huge ``max_k`` costs nothing.
     """
-    max_k = as_count(max_k, "max_k")
-    max_d = as_count(max_d, "max_d")
+    max_k = as_count(max_k, "max_k", minimum=1)
+    max_d = as_count(max_d, "max_d", minimum=1)
+    if not kprimes:
+        raise NonPositiveError("kprimes must hold at least one download ratio")
     return (
         SystemParams(n=d1 + d2 + 1, k=k, d1=d1, d2=d2, kprime=kprime, cost_expensive=Fraction(2))
-        for k in range(1, max_k + 1)
+        for k in range(1, min(max_k, max_d) + 1)
         for d1 in range(max_d + 1)
         for d2 in range(max(k - d1, 0), max_d - d1 + 1)
         for kprime in kprimes

@@ -54,10 +54,8 @@ def as_fraction(value: RationalLike, what: str = "value") -> Fraction:
     raise UsageError(f"{what} must be an int, Fraction, or 'p/q' string, got {type(value).__name__}")
 
 
-def exact_str(value: Fraction | int | None) -> str:
-    """``value`` as "p/q" (or "p"), at any size; None prints as ""."""
-    if value is None:
-        return ""
+def exact_str(value: Fraction | int) -> str:
+    """``value`` as "p/q" (or "p"), at any size."""
     try:
         return str(value)
     except ValueError:

@@ -482,6 +482,19 @@ def test_verify_sweep_mismatch_prints_maxflow_and_reproducer(capsys, monkeypatch
     assert out.splitlines()[0].startswith("beta2=3/20 ")
 
 
+def test_verify_sweep_mismatch_prints_infeasible_alpha(capsys, monkeypatch):
+    reports = [
+        regencost.cutflow.CutReport(F(1, 10), None, F(11, 20), F(4, 5), False, False),
+        regencost.cutflow.CutReport(F(1, 10), F(11, 20), None, F(4, 5), False, False),
+    ]
+    monkeypatch.setattr(regencost.cutflow, "verify_closed_form", lambda params, beta2_grid=None: reports)
+    code, out, _ = run_cli(["verify", "--sweep", "--max-k", "1", "--max-d", "1"], capsys)
+    assert code == 1
+    closed_none, oracle_none = out.splitlines()[:2]
+    assert " beta2=1/10 closed=infeasible oracle=11/20 maxflow=4/5 | reproduce: " in closed_none
+    assert " beta2=1/10 closed=11/20 oracle=infeasible maxflow=4/5 | reproduce: " in oracle_none
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

@@ -531,6 +531,11 @@ def test_verification_sweep_size_and_shape():
     assert all(p.kprime in (1, 2, 3, 5) for p in configs)
 
 
+def test_verification_sweep_stops_k_at_max_d():
+    # no config has k > d, so a max_k past max_d lists the same configs, and at once
+    assert list(verification_sweep(max_k=10**100, max_d=3)) == list(verification_sweep(max_k=3, max_d=3))
+
+
 # ---------------------------------------------------------------------------
 # random histories
 

@@ -276,11 +276,15 @@ def test_every_breakpoint_family_refuses_a_non_int_index(index):
         (lambda: list(cutflow.verification_sweep(max_d=2.5)), NonIntegerDownloadError),
         (lambda: list(cutflow.verification_sweep(max_k=True)), NonIntegerDownloadError),
         (lambda: list(cutflow.verification_sweep(max_d=-1)), NonPositiveError),
+        (lambda: cutflow.verification_sweep(max_k=0), NonPositiveError),
+        (lambda: cutflow.verification_sweep(max_d=0), NonPositiveError),
+        (lambda: cutflow.verification_sweep(kprimes=()), NonPositiveError),
         (lambda: cutflow.verify_closed_form(_P, 5), UsageError),
         (lambda: cutflow.verify_closed_form(_P, "12"), UsageError),
         (lambda: cutflow.verify_closed_form(_P, []), NonPositiveError),
     ],
     ids=["float-kprime", "str-kprimes", "str-max-k", "float-max-d", "bool-max-k", "negative-max-d",
+         "zero-max-k", "zero-max-d", "no-kprimes",
          "int-grid", "str-grid", "empty-grid"],
 )
 def test_sweep_helpers_raise_typed_errors(call, error):
