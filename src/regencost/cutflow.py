@@ -3,10 +3,13 @@
 Repair histories become directed graphs: each stored node is an in/out
 pair joined by an edge of capacity alpha, helpers feed newcomers through
 edges of capacity beta1 (cheap tier) or beta2 (expensive tier), and a data
-collector reads k nodes over unbounded edges.  The file is recoverable in
-a history exactly when the source/collector max flow reaches the file
-size, so the closed forms in :mod:`regencost.tradeoff` can be checked
-three independent ways:
+collector reads k nodes over unbounded edges.  :func:`build_gstar` builds
+the worst-case history, :func:`history_graph` any given one from its
+repair events and readers, and :func:`random_history_graph` draws a
+history and its readers, then builds them with :func:`history_graph`.
+The file is recoverable in a history exactly when the source/collector
+max flow reaches the file size, so the closed forms in
+:mod:`regencost.tradeoff` can be checked three independent ways:
 
 * a clipped-sum evaluation of the adversarial cut,
 * a piecewise-linear inversion of that sum (no closed forms involved),
@@ -33,7 +36,14 @@ import networkx as nx
 from networkx.algorithms.flow import edmonds_karp
 
 from . import tradeoff
-from .errors import InsufficientRepairBandwidthError, NonPositiveError, UsageError
+from .errors import (
+    InsufficientHelpersError,
+    InsufficientRepairBandwidthError,
+    InvalidConstructionError,
+    NonPositiveError,
+    UnknownNodeError,
+    UsageError,
+)
 from .params import RationalLike, SystemParams, as_count, as_nonnegative, as_rng, exact_str, repair_history
 
 
@@ -380,18 +390,24 @@ def verify_closed_form(
 def verification_sweep(
     max_k: int = 5,
     max_d: int = 7,
-    kprimes: Sequence[RationalLike] = (1, 2, 3, 5),
+    kprimes: Iterable[RationalLike] = (1, 2, 3, 5),
 ) -> Iterator[SystemParams]:
     """Every (k, d1, d2, kprime) with k <= max_k, k <= d1+d2 <= max_d; n = d+1.
 
-    ``max_k`` and ``max_d`` are counts of at least 1 and ``kprimes`` is not
-    empty, all checked when the sweep is created, so a sweep never covers
-    zero configurations; each kprime goes to :class:`SystemParams` as given,
-    which checks it.  No config has k > d, so k runs only to min(max_k, max_d)
-    and a huge ``max_k`` costs nothing.
+    ``max_k`` and ``max_d`` are counts of at least 1 and ``kprimes`` is a
+    non-empty iterable, read once; all are checked when the sweep is
+    created, so a sweep never covers zero configurations.  Each kprime goes
+    to :class:`SystemParams` as given, which checks it.  No config has
+    k > d, so k runs only to min(max_k, max_d) and a huge ``max_k`` costs
+    nothing.
     """
     max_k = as_count(max_k, "max_k", minimum=1)
     max_d = as_count(max_d, "max_d", minimum=1)
+    # taken once: every (k, d1, d2) reads them again, and an iterator would be spent after the first
+    try:
+        kprimes = tuple(kprimes)
+    except TypeError as exc:
+        raise UsageError(f"kprimes must be an iterable of download ratios, got {type(kprimes).__name__}") from exc
     if not kprimes:
         raise NonPositiveError("kprimes must hold at least one download ratio")
     return (
@@ -404,7 +420,77 @@ def verification_sweep(
 
 
 # ---------------------------------------------------------------------------
-# random repair histories
+# repair histories
+
+
+def history_graph(
+    params: SystemParams,
+    alpha: RationalLike,
+    beta2: RationalLike,
+    events: Iterable[tuple[int, Sequence[int], Sequence[int]]],
+    readers: Iterable[int],
+) -> FlowGraph:
+    """The flow graph of a given repair history over n live nodes, read by a collector.
+
+    ``events`` are ``(failed, cheap, expensive)`` triples in repair order,
+    as :func:`regencost.params.repair_history` yields them, and node ids
+    0..n-1 name the nodes live when each event happens.  The originals are
+    o0..o{n-1}; event t adds newcomer x{t}, which downloads beta1 from each
+    cheap helper, then beta2 from each expensive one, and takes the failed
+    node's id.  The collector then reads the live nodes ``readers`` names.
+    Nothing is drawn.
+
+    Helper counts are checked, tiers are not, so any helper-selection model
+    can be built.  A node id that is a bool, not an int or outside 0..n-1
+    raises UnknownNodeError; an event without exactly d1 cheap and d2
+    expensive distinct helpers other than its failed node raises
+    InsufficientHelpersError; events that are not an iterable of triples,
+    or readers that are not k distinct ids, raise InvalidConstructionError.
+    """
+    a = as_nonnegative(alpha, "alpha")
+    b2 = as_nonnegative(beta2, "beta2")
+    n, d1, d2 = params.n, params.d1, params.d2
+    builder = _GraphBuilder(a, params.kprime * b2, b2)
+    live = [builder.add_original(f"o{i}") for i in range(n)]
+    for t, event in enumerate(_as_tuple(events, "events")):
+        try:
+            failed, cheap, expensive = event
+            cheap, expensive = tuple(cheap), tuple(expensive)
+        except (TypeError, ValueError) as exc:
+            raise InvalidConstructionError(f"repair event {t} is not a (failed, cheap, expensive) triple") from exc
+        nodes = _node_ids((failed, *cheap, *expensive), n, f"repair event {t}")
+        if len(cheap) != d1 or len(expensive) != d2 or len(set(nodes)) != len(nodes):
+            raise InsufficientHelpersError(
+                f"repair event {t} needs {d1} cheap and {d2} expensive distinct helpers other than failed node "
+                f"{exact_str(failed)}, got {len(cheap)} cheap and {len(expensive)} expensive, "
+                f"{len(set(nodes) - {failed})} distinct others"
+            )
+        live[failed] = builder.add_newcomer(f"x{t}", [live[h] for h in cheap], [live[h] for h in expensive])
+    readers = _node_ids(_as_tuple(readers, "readers"), n, "readers")
+    if len(readers) != params.k or len(set(readers)) != params.k:
+        raise InvalidConstructionError(
+            f"the collector reads k={params.k} distinct nodes, got {len(set(readers))} in {len(readers)} readers"
+        )
+    for reader in readers:
+        builder.add_collector_read(live[reader])
+    return FlowGraph(edges=tuple(builder.edges))
+
+
+def _as_tuple(values: Iterable, what: str) -> tuple:
+    try:
+        return tuple(values)
+    except TypeError as exc:
+        raise InvalidConstructionError(f"{what} must be an iterable, got {type(values).__name__}") from exc
+
+
+def _node_ids(nodes: tuple, n: int, what: str) -> tuple[int, ...]:
+    """``nodes`` themselves, once each is known to be an int, not a bool, in 0..n-1 (UnknownNodeError)."""
+    for node in nodes:
+        if isinstance(node, bool) or not isinstance(node, int):
+            raise UnknownNodeError(f"{what} names a {type(node).__name__}, not a node id in 0..{exact_str(n - 1)}")
+        if not 0 <= node < n:
+            raise UnknownNodeError(f"{what} names node {exact_str(node)}, not one of 0..{exact_str(n - 1)}")
+    return nodes
 
 
 def random_history_graph(
@@ -413,25 +499,18 @@ def random_history_graph(
     beta2: RationalLike,
     rng: Random,
     failures: int,
-    n_cheap: int | None = None,
 ) -> FlowGraph:
     """A uniformly random valid repair history over all n nodes, plus a random collector.
 
-    Tier sizes are drawn from the valid range unless ``n_cheap`` pins them.
-    The failures and their helpers come from
-    :func:`regencost.params.repair_history`: a node may fail only while its
-    tier can still field a full helper set, and every replacement inherits
-    the failed node's tier.
+    Draws, in this order: the cheap tier's size from d1..n-d2, every event
+    of :func:`regencost.params.repair_history` (a node may fail only while
+    its tier can still field a full helper set, and every replacement
+    inherits the failed node's tier), then k distinct readers.  The graph
+    is :func:`history_graph` of those events and readers.
     """
     a = as_nonnegative(alpha, "alpha")
     b2 = as_nonnegative(beta2, "beta2")
-    if n_cheap is None:
-        n_cheap = as_rng(rng).randint(params.d1, params.n - params.d2)
-    history = repair_history(params, n_cheap, failures, rng)
-    builder = _GraphBuilder(a, params.kprime * b2, b2)
-    live = [builder.add_original(f"o{i}") for i in range(params.n)]
-    for t, (failed, cheap, expensive) in enumerate(history):
-        live[failed] = builder.add_newcomer(f"x{t}", [live[h] for h in cheap], [live[h] for h in expensive])
-    for reader in rng.sample(range(params.n), params.k):
-        builder.add_collector_read(live[reader])
-    return FlowGraph(edges=tuple(builder.edges))
+    n_cheap = as_rng(rng).randint(params.d1, params.n - params.d2)
+    # a list, so that every event is drawn before the readers
+    events = list(repair_history(params, n_cheap, failures, rng))
+    return history_graph(params, a, b2, events, rng.sample(range(params.n), params.k))

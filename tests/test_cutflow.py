@@ -3,6 +3,7 @@ import math
 import re
 import types
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 import networkx as nx
@@ -33,12 +34,14 @@ from regencost.cutflow import (
     cut_capacity_sum,
     cut_terms,
     default_beta2_grid,
+    history_graph,
     max_flow,
     random_history_graph,
     to_edge_list,
     verification_sweep,
     verify_closed_form,
 )
+from regencost.params import repair_history
 
 F = Fraction
 
@@ -531,6 +534,12 @@ def test_verification_sweep_size_and_shape():
     assert all(p.kprime in (1, 2, 3, 5) for p in configs)
 
 
+def test_verification_sweep_reads_an_iterator_of_kprimes_once():
+    configs = list(verification_sweep(kprimes=(1, 2)))
+    assert len(configs) == 290
+    assert list(verification_sweep(kprimes=iter((1, 2)))) == configs
+
+
 def test_verification_sweep_stops_k_at_max_d():
     # no config has k > d, so a max_k past max_d lists the same configs, and at once
     assert list(verification_sweep(max_k=10**100, max_d=3)) == list(verification_sweep(max_k=3, max_d=3))
@@ -580,21 +589,68 @@ def test_random_history_min_cut_never_beats_the_adversarial_bound():
 
 
 def test_random_history_tier_pinning():
-    graph = random_history_graph(
-        A_SMALL, F(11, 20), F(3, 20), Random(1), failures=3, n_cheap=A_SMALL.n - A_SMALL.d2
-    )
-    assert max_flow(graph) >= 0
+    # a pinned tiering is repair_history's events built by history_graph; at alpha_min every
+    # history and every collector reach the file size
+    a, b2 = F(11, 20), F(3, 20)
+    assert alpha_min(A_SMALL, b2) == a
+    for n_cheap in (A_SMALL.d1, A_SMALL.n - A_SMALL.d2):
+        events = list(repair_history(A_SMALL, n_cheap, 3, Random(1)))
+        for readers in combinations(range(A_SMALL.n), A_SMALL.k):
+            assert max_flow(history_graph(A_SMALL, a, b2, events, readers)) >= A_SMALL.file_size
     with pytest.raises(InvalidConstructionError):
-        random_history_graph(A_SMALL, F(11, 20), F(3, 20), Random(1), failures=1, n_cheap=1)
+        repair_history(A_SMALL, 1, 1, Random(1))
     with pytest.raises(InvalidConstructionError):
-        random_history_graph(
-            A_SMALL, F(11, 20), F(3, 20), Random(1), failures=1, n_cheap=A_SMALL.n
-        )
+        repair_history(A_SMALL, A_SMALL.n, 1, Random(1))
     with pytest.raises(NonPositiveError):
-        random_history_graph(A_SMALL, F(11, 20), F(3, 20), Random(1), failures=-1)
-    for failures, n_cheap in ((2.5, None), (True, None), (1, 2.5), (1, True)):
+        random_history_graph(A_SMALL, a, b2, Random(1), failures=-1)
+    for failures in (2.5, True):
         with pytest.raises(NonIntegerDownloadError, match="must be an integer count"):
-            random_history_graph(A_SMALL, F(11, 20), F(3, 20), Random(1), failures, n_cheap)
+            random_history_graph(A_SMALL, a, b2, Random(1), failures)
+    for n_cheap in (2.5, True):
+        with pytest.raises(NonIntegerDownloadError, match="must be an integer count"):
+            repair_history(A_SMALL, n_cheap, 1, Random(1))
+
+
+def test_history_graph_of_a_hand_written_history():
+    # x1 is helped by the earlier newcomer x0, and the collector reads the replaced id 2 (x2)
+    events = [(0, [1, 2], [3]), (1, [0, 2], [3]), (2, [0, 1], [3])]
+    a, b1, b2 = F(11, 20), F(3, 10), F(3, 20)
+    graph = history_graph(A_SMALL, a, b2, events, [2, 3])
+    originals = [
+        edge for i in range(4) for edge in (FlowEdge(f"o{i}.in", f"o{i}.out", a), FlowEdge(SOURCE, f"o{i}.in", None))
+    ]
+    assert list(graph.edges) == originals + [
+        FlowEdge("x0.in", "x0.out", a),
+        FlowEdge("o1.out", "x0.in", b1),
+        FlowEdge("o2.out", "x0.in", b1),
+        FlowEdge("o3.out", "x0.in", b2),
+        FlowEdge("x1.in", "x1.out", a),
+        FlowEdge("x0.out", "x1.in", b1),
+        FlowEdge("o2.out", "x1.in", b1),
+        FlowEdge("o3.out", "x1.in", b2),
+        FlowEdge("x2.in", "x2.out", a),
+        FlowEdge("x0.out", "x2.in", b1),
+        FlowEdge("x1.out", "x2.in", b1),
+        FlowEdge("o3.out", "x2.in", b2),
+        FlowEdge("x2.out", SINK, None),
+        FlowEdge("o3.out", SINK, None),
+    ]
+    assert max_flow(graph) == 2 * a  # each reader's whole alpha gets through
+
+
+@pytest.mark.parametrize("params", [CONFIG_A, CONFIG_B, B_SMALL], ids=["A", "B", "B_SMALL"])
+def test_random_history_graph_builds_its_draws_with_history_graph(params):
+    b2 = 2 * beta2_min(params)
+    a = alpha_min(params, b2)
+    for seed in range(60):
+        failures = seed % (2 * params.n)
+        rng = Random(seed)
+        n_cheap = rng.randint(params.d1, params.n - params.d2)
+        events = list(repair_history(params, n_cheap, failures, rng))
+        readers = rng.sample(range(params.n), params.k)
+        assert random_history_graph(params, a, b2, Random(seed), failures) == history_graph(
+            params, a, b2, events, readers
+        ), seed
 
 
 def test_random_history_edge_lists_match_frozen_digest():

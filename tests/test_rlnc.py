@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from conftest import make_params
 from regencost import rlnc
-from regencost.cutflow import random_history_graph
 from regencost.errors import (
     InsufficientHelpersError,
     InvalidChoiceError,
@@ -580,8 +579,9 @@ def test_run_trial_supports_prime_field_and_worst_case_helpers():
 
 
 def test_run_trial_and_random_history_graph_see_the_same_events(monkeypatch):
-    # both draw their histories from params.repair_history: with repair made
-    # rng-free, run_trial's repair calls match the graph's downloads event by event
+    # with repair made rng-free, run_trial's repair calls are params.repair_history's events,
+    # drawn after the encoding seed; random_history_graph builds those same events with
+    # cutflow.history_graph (tests/test_cutflow.py)
     params = make_params(3, 3, 2, kprime=2, n=8)
     calls = []
 
@@ -595,14 +595,7 @@ def test_run_trial_and_random_history_graph_see_the_same_events(monkeypatch):
         run_trial(params, alpha_sym=2, beta2_sym=1, num_failures=9, seed=seed, n_cheap=5)
         rng = Random(seed)
         rng.getrandbits(32)  # run_trial's encoding seed
-        graph = random_history_graph(params, 1, F(1, 3), rng, failures=9, n_cheap=5)
-        live = {i: f"o{i}" for i in range(params.n)}
-        for t, (failed, cheap, expensive) in enumerate(calls):
-            downloads = [(e.tail, e.capacity) for e in graph.edges if e.head == f"x{t}.in"]
-            expected = [(f"{live[h]}.out", F(2, 3)) for h in cheap]
-            expected += [(f"{live[h]}.out", F(1, 3)) for h in expensive]
-            assert downloads == expected
-            live[failed] = f"x{t}"
+        assert calls == list(repair_history(params, 5, 9, rng))
         assert len(calls) == 9
 
 

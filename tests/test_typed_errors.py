@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 from conftest import fractions_between
 from regencost import (
     IndexOutOfRangeError,
+    InsufficientHelpersError,
     InvalidConstructionError,
     InvalidDegreeError,
     NonIntegerDownloadError,
     NonPositiveError,
     RegenError,
     SystemParams,
+    UnknownNodeError,
     UsageError,
     cutflow,
     rlnc,
@@ -114,7 +116,14 @@ def test_public_calls_raise_only_typed_errors(counts, rationals, params, beta2, 
     _check(cutflow.cut_capacity_sum, params, alpha, beta2)
     _check(cutflow.build_gstar, params, alpha, beta2)
     failures, n_cheap, alpha_sym, beta2_sym = history
-    _check(cutflow.random_history_graph, params, alpha, beta2, Random(0), failures, n_cheap)
+    _check(cutflow.random_history_graph, params, alpha, beta2, Random(0), failures)
+
+    def pinned_history_graph():
+        rng = Random(0)
+        events = list(repair_history(params, n_cheap, failures, rng))
+        return cutflow.history_graph(params, alpha, beta2, events, rng.sample(range(params.n), params.k))
+
+    _check(pinned_history_graph)
     _check(lambda: rlnc.run_trial(params, alpha_sym, beta2_sym, failures, 0, n_cheap=n_cheap, max_subsets=4))
 
 
@@ -279,14 +288,66 @@ def test_every_breakpoint_family_refuses_a_non_int_index(index):
         (lambda: cutflow.verification_sweep(max_k=0), NonPositiveError),
         (lambda: cutflow.verification_sweep(max_d=0), NonPositiveError),
         (lambda: cutflow.verification_sweep(kprimes=()), NonPositiveError),
+        (lambda: cutflow.verification_sweep(kprimes=5), UsageError),
         (lambda: cutflow.verify_closed_form(_P, 5), UsageError),
         (lambda: cutflow.verify_closed_form(_P, "12"), UsageError),
         (lambda: cutflow.verify_closed_form(_P, []), NonPositiveError),
     ],
     ids=["float-kprime", "str-kprimes", "str-max-k", "float-max-d", "bool-max-k", "negative-max-d",
-         "zero-max-k", "zero-max-d", "no-kprimes",
+         "zero-max-k", "zero-max-d", "no-kprimes", "int-kprimes",
          "int-grid", "str-grid", "empty-grid"],
 )
 def test_sweep_helpers_raise_typed_errors(call, error):
     with pytest.raises(error):
         call()
+
+
+# n=4, k=2, d1=2, d2=1: each event names a failed node, 2 cheap and 1 expensive helpers
+_EVENT = (0, [1, 2], [3])
+
+
+@pytest.mark.parametrize(
+    "events, readers, error",
+    [
+        ([(True, [1, 2], [3])], (0, 1), UnknownNodeError),
+        ([(0, [True, 2], [3])], (0, 1), UnknownNodeError),
+        ([(0, [1.0, 2], [3])], (0, 1), UnknownNodeError),
+        ([("0", [1, 2], [3])], (0, 1), UnknownNodeError),
+        ([(0, [-1, 2], [3])], (0, 1), UnknownNodeError),
+        ([(-4, [1, 2], [3])], (0, 1), UnknownNodeError),
+        ([(0, [1, 2], [4])], (0, 1), UnknownNodeError),
+        ([(0, [1, 2], [_HUGE])], (0, 1), UnknownNodeError),
+        ([_EVENT], (False, 1), UnknownNodeError),
+        ([_EVENT], (-1, 1), UnknownNodeError),
+        ([_EVENT], (0, 4), UnknownNodeError),
+        ([_EVENT], (0, None), UnknownNodeError),
+        ([(0, [1, 1], [3])], (0, 1), InsufficientHelpersError),
+        ([(0, [1, 2], [2])], (0, 1), InsufficientHelpersError),
+        ([(0, [0, 2], [3])], (0, 1), InsufficientHelpersError),
+        ([(0, [1, 2], [0])], (0, 1), InsufficientHelpersError),
+        ([(0, [1], [3])], (0, 1), InsufficientHelpersError),
+        ([(0, [1, 2], [])], (0, 1), InsufficientHelpersError),
+        ([_EVENT], (0,), InvalidConstructionError),
+        ([_EVENT], (0, 1, 2), InvalidConstructionError),
+        ([_EVENT], (1, 1), InvalidConstructionError),
+        ([_EVENT], 2, InvalidConstructionError),
+        (5, (0, 1), InvalidConstructionError),
+        (None, (0, 1), InvalidConstructionError),
+        ([0], (0, 1), InvalidConstructionError),
+        ([(0, [1, 2])], (0, 1), InvalidConstructionError),
+        ([(*_EVENT, [])], (0, 1), InvalidConstructionError),
+        ([(0, 1, 3)], (0, 1), InvalidConstructionError),
+        ([(0, [1, 2], None)], (0, 1), InvalidConstructionError),
+    ],
+    ids=["bool-failed", "bool-helper", "float-helper", "str-failed", "negative-helper", "negative-failed",
+         "helper-n", "huge-helper", "bool-reader", "negative-reader", "reader-n", "none-reader",
+         "repeated-cheap", "repeated-across-tiers", "failed-helps-cheap", "failed-helps-expensive",
+         "d1-minus-1-cheap", "d2-minus-1-expensive", "k-minus-1-readers", "k-plus-1-readers",
+         "repeated-reader", "int-readers", "int-events", "none-events", "int-event", "pair-event",
+         "four-event", "int-helpers", "none-helpers"],
+)
+def test_history_graph_refuses_malformed_histories_with_typed_errors(events, readers, error):
+    # never a bare IndexError or TypeError, and a negative id does not wrap round to the last node
+    with pytest.raises(error) as info:
+        cutflow.history_graph(_P, 1, 1, events, readers)
+    assert len(str(info.value)) > 0  # the message itself formats
