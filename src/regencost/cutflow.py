@@ -41,10 +41,19 @@ from .errors import (
     InsufficientRepairBandwidthError,
     InvalidConstructionError,
     NonPositiveError,
-    UnknownNodeError,
     UsageError,
 )
-from .params import RationalLike, SystemParams, as_count, as_nonnegative, as_rng, exact_str, repair_history
+from .params import (
+    RationalLike,
+    SystemParams,
+    as_count,
+    as_node_ids,
+    as_nonnegative,
+    as_repair_event,
+    as_rng,
+    exact_str,
+    repair_history,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -395,19 +404,18 @@ def verification_sweep(
     """Every (k, d1, d2, kprime) with k <= max_k, k <= d1+d2 <= max_d; n = d+1.
 
     ``max_k`` and ``max_d`` are counts of at least 1 and ``kprimes`` is a
-    non-empty iterable, read once; all are checked when the sweep is
-    created, so a sweep never covers zero configurations.  Each kprime goes
-    to :class:`SystemParams` as given, which checks it.  No config has
-    k > d, so k runs only to min(max_k, max_d) and a huge ``max_k`` costs
-    nothing.
+    non-empty, non-string iterable, read once; all are checked when the
+    sweep is created, so a sweep never covers zero configurations.  Each
+    kprime goes to :class:`SystemParams` as given, which checks it.  No
+    config has k > d, so k runs only to min(max_k, max_d) and a huge
+    ``max_k`` costs nothing.
     """
     max_k = as_count(max_k, "max_k", minimum=1)
     max_d = as_count(max_d, "max_d", minimum=1)
-    # taken once: every (k, d1, d2) reads them again, and an iterator would be spent after the first
-    try:
-        kprimes = tuple(kprimes)
-    except TypeError as exc:
-        raise UsageError(f"kprimes must be an iterable of download ratios, got {type(kprimes).__name__}") from exc
+    # a str would be split into one-character kprimes
+    if isinstance(kprimes, str) or not isinstance(kprimes, Iterable):
+        raise UsageError(f"kprimes must be an iterable of download ratios, got {type(kprimes).__name__}")
+    kprimes = tuple(kprimes)  # every (k, d1, d2) reads them again, and an iterator would be spent after the first
     if not kprimes:
         raise NonPositiveError("kprimes must hold at least one download ratio")
     return (
@@ -440,10 +448,10 @@ def history_graph(
     node's id.  The collector then reads the live nodes ``readers`` names.
     Nothing is drawn.
 
-    Helper counts are checked, tiers are not, so any helper-selection model
-    can be built.  A node id that is a bool, not an int or outside 0..n-1
-    raises UnknownNodeError; an event without exactly d1 cheap and d2
-    expensive distinct helpers other than its failed node raises
+    Each event is checked by :func:`regencost.params.as_repair_event` and
+    the readers by :func:`regencost.params.as_node_ids`.  Helper counts are
+    checked, tiers are not, so any helper-selection model can be built: an
+    event without d1 cheap and d2 expensive helpers raises
     InsufficientHelpersError; events that are not an iterable of triples,
     or readers that are not k distinct ids, raise InvalidConstructionError.
     """
@@ -452,21 +460,23 @@ def history_graph(
     n, d1, d2 = params.n, params.d1, params.d2
     builder = _GraphBuilder(a, params.kprime * b2, b2)
     live = [builder.add_original(f"o{i}") for i in range(n)]
-    for t, event in enumerate(_as_tuple(events, "events")):
+    try:
+        events = tuple(events)
+    except TypeError as exc:
+        raise InvalidConstructionError(f"events must be an iterable, got {type(events).__name__}") from exc
+    for t, event in enumerate(events):
         try:
             failed, cheap, expensive = event
-            cheap, expensive = tuple(cheap), tuple(expensive)
         except (TypeError, ValueError) as exc:
             raise InvalidConstructionError(f"repair event {t} is not a (failed, cheap, expensive) triple") from exc
-        nodes = _node_ids((failed, *cheap, *expensive), n, f"repair event {t}")
-        if len(cheap) != d1 or len(expensive) != d2 or len(set(nodes)) != len(nodes):
+        failed, cheap, expensive = as_repair_event(failed, cheap, expensive, n, f"repair event {t}")
+        if len(cheap) != d1 or len(expensive) != d2:
             raise InsufficientHelpersError(
-                f"repair event {t} needs {d1} cheap and {d2} expensive distinct helpers other than failed node "
-                f"{exact_str(failed)}, got {len(cheap)} cheap and {len(expensive)} expensive, "
-                f"{len(set(nodes) - {failed})} distinct others"
+                f"repair event {t} needs {d1} cheap and {d2} expensive helpers, "
+                f"got {len(cheap)} cheap and {len(expensive)} expensive"
             )
         live[failed] = builder.add_newcomer(f"x{t}", [live[h] for h in cheap], [live[h] for h in expensive])
-    readers = _node_ids(_as_tuple(readers, "readers"), n, "readers")
+    readers = as_node_ids(readers, n, "readers")
     if len(readers) != params.k or len(set(readers)) != params.k:
         raise InvalidConstructionError(
             f"the collector reads k={params.k} distinct nodes, got {len(set(readers))} in {len(readers)} readers"
@@ -474,23 +484,6 @@ def history_graph(
     for reader in readers:
         builder.add_collector_read(live[reader])
     return FlowGraph(edges=tuple(builder.edges))
-
-
-def _as_tuple(values: Iterable, what: str) -> tuple:
-    try:
-        return tuple(values)
-    except TypeError as exc:
-        raise InvalidConstructionError(f"{what} must be an iterable, got {type(values).__name__}") from exc
-
-
-def _node_ids(nodes: tuple, n: int, what: str) -> tuple[int, ...]:
-    """``nodes`` themselves, once each is known to be an int, not a bool, in 0..n-1 (UnknownNodeError)."""
-    for node in nodes:
-        if isinstance(node, bool) or not isinstance(node, int):
-            raise UnknownNodeError(f"{what} names a {type(node).__name__}, not a node id in 0..{exact_str(n - 1)}")
-        if not 0 <= node < n:
-            raise UnknownNodeError(f"{what} names node {exact_str(node)}, not one of 0..{exact_str(n - 1)}")
-    return nodes
 
 
 def random_history_graph(

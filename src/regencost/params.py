@@ -20,15 +20,17 @@ from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from random import Random
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import (
+    InsufficientHelpersError,
     InvalidConstructionError,
     InvalidCostOrderError,
     InvalidDegreeError,
     InvalidRatioError,
     NonIntegerDownloadError,
     NonPositiveError,
+    UnknownNodeError,
     UsageError,
 )
 
@@ -235,6 +237,33 @@ def _repair_events(
                 helpers.append(rng.sample(pool, need))
         last_replaced[failed] = t
         yield failed, helpers[0], helpers[1]
+
+
+def as_node_ids(nodes: Iterable[int], n: int, what: str) -> tuple[int, ...]:
+    """``nodes`` read once into a tuple of ids in 0..n-1.  A non-iterable raises
+    InvalidConstructionError; an id that is a bool, not an int or out of range, UnknownNodeError."""
+    try:
+        nodes = tuple(nodes)
+    except TypeError as exc:
+        raise InvalidConstructionError(f"{what} must be an iterable of node ids, got {type(nodes).__name__}") from exc
+    for node in nodes:
+        if isinstance(node, bool) or not isinstance(node, int):
+            raise UnknownNodeError(f"{what} names a {type(node).__name__}, not a node id in 0..{exact_str(n - 1)}")
+        if not 0 <= node < n:
+            raise UnknownNodeError(f"{what} names node {exact_str(node)}, not one of 0..{exact_str(n - 1)}")
+    return nodes
+
+
+def as_repair_event(
+    failed: int, cheap: Iterable[int], expensive: Iterable[int], n: int, what: str
+) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """The rule for one repair event over n nodes: ids per :func:`as_node_ids`, helper sets read once into
+    tuples, and no helper named twice or the failed node among them (InsufficientHelpersError)."""
+    (failed,) = as_node_ids((failed,), n, what)
+    cheap, expensive = as_node_ids(cheap, n, what), as_node_ids(expensive, n, what)
+    if len({failed, *cheap, *expensive}) != 1 + len(cheap) + len(expensive):
+        raise InsufficientHelpersError(f"{what} names a helper twice or failed node {exact_str(failed)} as a helper")
+    return failed, cheap, expensive
 
 
 def repair_bandwidth(params: SystemParams, beta2: RationalLike) -> Fraction:

@@ -31,10 +31,19 @@ from .errors import (
     InsufficientHelpersError,
     InvalidChoiceError,
     NonIntegerDownloadError,
-    UnknownNodeError,
     UsageError,
 )
-from .params import CHEAP, EXPENSIVE, SystemParams, as_count, as_rng, exact_str, repair_history
+from .params import (
+    CHEAP,
+    EXPENSIVE,
+    SystemParams,
+    as_count,
+    as_node_ids,
+    as_repair_event,
+    as_rng,
+    exact_str,
+    repair_history,
+)
 
 
 # byte tables for ByteField.draw; a word whose top byte has bit 7 set is redrawn, so such bytes are deleted
@@ -327,31 +336,22 @@ def repair(
 
     Cheap helpers send beta1_sym rows, expensive ones beta2_sym; the
     newcomer stores alpha_sym random combinations of everything received
-    and inherits the failed node's tier.
+    and inherits the failed node's tier.  The event is checked by
+    :func:`regencost.params.as_repair_event`, then each helper's tier.
     """
-    _check_node(state, failed_node)
+    failed_node, helpers_cheap, helpers_expensive = as_repair_event(
+        failed_node, helpers_cheap, helpers_expensive, len(state.nodes), "repair"
+    )
     beta1_sym = as_count(beta1_sym, "beta1_sym")
     beta2_sym = as_count(beta2_sym, "beta2_sym")
     rng = as_rng(rng)
-    seen: set[int] = {failed_node}
-    for helpers, tier in ((helpers_cheap, CHEAP), (helpers_expensive, EXPENSIVE)):
+    sends = []
+    for helpers, tier, count in ((helpers_cheap, CHEAP, beta1_sym), (helpers_expensive, EXPENSIVE, beta2_sym)):
         for helper in helpers:
-            _check_node(state, helper)
-            if helper in seen:
-                raise InsufficientHelpersError(
-                    f"node {helper} cannot help twice (or be its own helper)"
-                )
-            seen.add(helper)
             if state.nodes[helper].tier != tier:
-                raise InsufficientHelpersError(
-                    f"node {helper} is {state.nodes[helper].tier}, expected {tier}"
-                )
+                raise InsufficientHelpersError(f"node {helper} is {state.nodes[helper].tier}, expected {tier}")
+            sends.append((state.nodes[helper].rows, count))
     field, width = state.field, state.file_len
-    sends = [
-        (state.nodes[helper].rows, count)
-        for helpers, count in ((helpers_cheap, beta1_sym), (helpers_expensive, beta2_sym))
-        for helper in helpers
-    ]
     n_received = sum(count for _, count in sends)
     # one draw for every coefficient, in the order of the per-row calls: helpers' sends, then new rows
     coeffs = field.draw(rng, sum(len(rows) * count for rows, count in sends) + state.alpha_sym * n_received)
@@ -377,16 +377,10 @@ def _as_seed(seed: int) -> int:
     return seed
 
 
-def _check_node(state: StorageState, node: int) -> None:
-    if isinstance(node, bool) or not isinstance(node, int) or not 0 <= node < len(state.nodes):
-        raise UnknownNodeError(f"no node {node!r} in a {len(state.nodes)}-node state")
-
-
 def can_reconstruct(state: StorageState, node_ids: Sequence[int]) -> bool:
     """True when the stacked rows of the chosen nodes span the whole file."""
     rows: list[Sequence[int]] = []
-    for node in node_ids:
-        _check_node(state, node)
+    for node in as_node_ids(node_ids, len(state.nodes), "node_ids"):
         rows.extend(state.nodes[node].rows)
     return matrix_rank(rows, state.field) == state.file_len
 

@@ -491,6 +491,21 @@ def test_repair_validates_helpers():
         repair(state, 2, [0, 1], [3], 2, True, Random(0))
     with pytest.raises(NonPositiveError):
         repair(state, 2, [0, 1], [3], 2, -1, Random(0))
+    # an id past the interpreter's int-to-str digit limit is still refused as a node id
+    with pytest.raises(UnknownNodeError):
+        repair(state, 10**5000, [0, 1], [3], 2, 1, Random(0))
+    with pytest.raises(UnknownNodeError):
+        repair(state, 2, [0, 10**5000], [3], 2, 1, Random(0))
+    with pytest.raises(InvalidConstructionError):
+        repair(state, 0, 5, [], 1, 1, Random(0))  # helpers not an iterable
+
+
+def test_repair_reads_iterator_helpers_once():
+    # checking the helpers must not use up an iterator before their rows are sent
+    state = encode_initial(8, 4, 2, GF256, 0, ("cheap",) * 4)
+    from_list = repair(state, 0, [1, 2], [], 1, 1, Random(0))
+    assert repair(state, 0, iter([1, 2]), [], 1, 1, Random(0)) == from_list
+    assert repair(state, 0, iter([1, 2]), iter([]), 1, 1, Random(0)) == from_list
 
 
 def test_reconstruction_is_rank_limited():
@@ -499,6 +514,10 @@ def test_reconstruction_is_rank_limited():
     assert not can_reconstruct(state, [0, 1])
     with pytest.raises(UnknownNodeError):
         can_reconstruct(state, [0, 7])
+    with pytest.raises(UnknownNodeError):
+        can_reconstruct(state, [10**5000])
+    with pytest.raises(InvalidConstructionError):
+        can_reconstruct(state, 5)
 
 
 def test_single_symbol_success_rate_matches_nonzero_fraction():

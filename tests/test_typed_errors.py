@@ -281,6 +281,7 @@ def test_every_breakpoint_family_refuses_a_non_int_index(index):
     [
         (lambda: list(cutflow.verification_sweep(max_k=1, max_d=1, kprimes=(1.5,))), UsageError),
         (lambda: list(cutflow.verification_sweep(max_k=1, max_d=1, kprimes="ab")), UsageError),
+        (lambda: list(cutflow.verification_sweep(max_k=1, max_d=1, kprimes="12")), UsageError),
         (lambda: list(cutflow.verification_sweep(max_k="3")), NonIntegerDownloadError),
         (lambda: list(cutflow.verification_sweep(max_d=2.5)), NonIntegerDownloadError),
         (lambda: list(cutflow.verification_sweep(max_k=True)), NonIntegerDownloadError),
@@ -293,8 +294,8 @@ def test_every_breakpoint_family_refuses_a_non_int_index(index):
         (lambda: cutflow.verify_closed_form(_P, "12"), UsageError),
         (lambda: cutflow.verify_closed_form(_P, []), NonPositiveError),
     ],
-    ids=["float-kprime", "str-kprimes", "str-max-k", "float-max-d", "bool-max-k", "negative-max-d",
-         "zero-max-k", "zero-max-d", "no-kprimes", "int-kprimes",
+    ids=["float-kprime", "str-kprimes", "digit-str-kprimes", "str-max-k", "float-max-d", "bool-max-k",
+         "negative-max-d", "zero-max-k", "zero-max-d", "no-kprimes", "int-kprimes",
          "int-grid", "str-grid", "empty-grid"],
 )
 def test_sweep_helpers_raise_typed_errors(call, error):
