@@ -327,8 +327,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"configs={configs} points={points} mismatches={len(mismatches)}")
         return 0 if not mismatches else 1
     params = _params_from_args(args)
-    grid = [as_fraction(b, "beta2") for b in args.beta2] if args.beta2 else None
-    reports = cutflow.verify_closed_form(params, grid)
+    reports = cutflow.verify_closed_form(params, args.beta2 or None)
     bad = sum(1 for r in reports if not r.ok)
     if args.format == "json":
         payload = {
@@ -447,11 +446,8 @@ def _simulate_reproducer(params: SystemParams, args: argparse.Namespace, seed: i
 
 def cmd_graph(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
-    alpha = None if args.alpha is None else as_fraction(args.alpha, "alpha")
-    beta2 = as_fraction(args.beta2, "beta2")
-    if alpha is None:
-        alpha = tradeoff.alpha_min(params, beta2)
-    print(cutflow.to_edge_list(cutflow.build_gstar(params, alpha, beta2)))
+    alpha = tradeoff.alpha_min(params, args.beta2) if args.alpha is None else args.alpha
+    print(cutflow.to_edge_list(cutflow.build_gstar(params, alpha, args.beta2)))
     return 0
 
 

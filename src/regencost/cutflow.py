@@ -95,12 +95,13 @@ def alpha_min_oracle(params: SystemParams, beta2: RationalLike) -> Fraction:
             f"total cut capacity {exact_str(sum(terms))} cannot reach file size {exact_str(target)}"
         )
     saturated = Fraction(0)
-    for index, term in enumerate(terms):
+    for index, term in enumerate(terms[:-1]):
         candidate = (target - saturated) / (len(terms) - index)
         if candidate <= term:
             return candidate
         saturated += term
-    return terms[-1]  # only reachable when the total equals the file size
+    # the last piece: the guard above keeps what is left within the largest term
+    return target - saturated
 
 
 # ---------------------------------------------------------------------------
@@ -374,22 +375,18 @@ def verify_closed_form(
             oracle: Fraction | None = alpha_min_oracle(params, b2)
         except InsufficientRepairBandwidthError:
             oracle = None
-        agree = closed == oracle
-        if closed is not None:
-            flow = max_flow(build_gstar(params, closed, b2))
-            flow_ok = flow == cut_capacity_sum(params, closed, b2) == params.file_size
-        else:
-            # probe above every term: the graph itself must certify infeasibility
-            probe = sum(cut_terms(params, b2)) + 1
-            flow = max_flow(build_gstar(params, probe, b2))
-            flow_ok = flow == cut_capacity_sum(params, probe, b2) and flow < params.file_size
+        # with no closed form, probe above every term: the graph itself must certify infeasibility
+        alpha = closed if closed is not None else sum(cut_terms(params, b2)) + 1
+        flow = max_flow(build_gstar(params, alpha, b2))
+        M = params.file_size
+        flow_ok = flow == cut_capacity_sum(params, alpha, b2) and (flow == M if closed is not None else flow < M)
         reports.append(
             CutReport(
                 beta2=b2,
                 alpha_closed=closed,
                 alpha_oracle=oracle,
                 maxflow_at_alpha=flow,
-                agree=agree,
+                agree=closed == oracle,
                 flow_ok=flow_ok,
             )
         )

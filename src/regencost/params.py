@@ -168,18 +168,8 @@ class SystemParams:
         return self.cost_cheap * self.d1 * self.kprime + self.cost_expensive * self.d2
 
 
-def validate_params(
-    n: int,
-    k: int,
-    d1: int,
-    d2: int,
-    kprime: RationalLike = 1,
-    file_size: RationalLike = 1,
-    cost_cheap: RationalLike = 1,
-    cost_expensive: RationalLike = 1,
-) -> SystemParams:
-    """Build a SystemParams from raw values, raising a typed error on any violation."""
-    return SystemParams(n, k, d1, d2, kprime, file_size, cost_cheap, cost_expensive)
+# the same constructor under its older name, kept for the callers that still import it
+validate_params = SystemParams
 
 
 def repair_history(

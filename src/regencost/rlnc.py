@@ -260,6 +260,13 @@ def _as_field(field: Field) -> Field:
     return field
 
 
+def _as_state(state: StorageState) -> StorageState:
+    """``state`` itself when it is a ``StorageState``; anything else raises UsageError."""
+    if not isinstance(state, StorageState):
+        raise UsageError(f"state must be a StorageState, got {type(state).__name__}")
+    return state
+
+
 def make_field(name: str) -> Field:
     """Field from a CLI name: "gf256" or "p<prime>" (e.g. "p257")."""
     if not isinstance(name, str):
@@ -339,6 +346,7 @@ def repair(
     and inherits the failed node's tier.  The event is checked by
     :func:`regencost.params.as_repair_event`, then each helper's tier.
     """
+    state = _as_state(state)
     failed_node, helpers_cheap, helpers_expensive = as_repair_event(
         failed_node, helpers_cheap, helpers_expensive, len(state.nodes), "repair"
     )
@@ -379,6 +387,7 @@ def _as_seed(seed: int) -> int:
 
 def can_reconstruct(state: StorageState, node_ids: Sequence[int]) -> bool:
     """True when the stacked rows of the chosen nodes span the whole file."""
+    state = _as_state(state)
     rows: list[Sequence[int]] = []
     for node in as_node_ids(node_ids, len(state.nodes), "node_ids"):
         rows.extend(state.nodes[node].rows)

@@ -21,6 +21,7 @@ per-scenario closed forms.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
@@ -318,30 +319,21 @@ class TradeoffCurve:
         return [segment.beta2_lo for segment in self.segments]
 
     def points(self, beta2s: Iterable[RationalLike]) -> list[CodePoint]:
-        """``operating_point`` at each beta2, in input order, from one walk over the segments.
+        """``operating_point`` at each beta2, in input order, which may be any order.
 
-        The walk advances while the next segment starts at or below beta2,
-        and restarts from the first segment when beta2 lies below the
-        current one, so ascending input takes one pass and any order stays
-        correct.  The first point of each visit to a segment comes from
-        ``operating_point``; the rest are read off the segment's line.
+        Each beta2's segment is found by bisection over the breakpoints.  The
+        first point of each visit to a segment comes from ``operating_point``,
+        as does a beta2 below the curve, which ``alpha_min`` refuses; the rest
+        are read off the segment's line.
         """
-        params, segments = self.params, self.segments
+        params, segments, starts = self.params, self.segments, self.breakpoints()
         kprime, gamma_per_beta2 = params.kprime, params.gamma_per_beta2
         cost_per_beta2 = params.cost_per_beta2
-        last = len(segments) - 1
-        index, visited = 0, None
+        visited = None
         result = []
         for beta2 in beta2s:
             b2 = as_nonnegative(beta2, "beta2")
-            if b2 < segments[index].beta2_lo:
-                index = 0
-                if b2 < self.beta2_min:
-                    raise InsufficientRepairBandwidthError(
-                        f"beta2={exact_str(b2)} is below the feasibility threshold {exact_str(self.beta2_min)}"
-                    )
-            while index < last and segments[index + 1].beta2_lo <= b2:
-                index += 1
+            index = bisect_right(starts, b2) - 1
             if index == visited:
                 point = CodePoint(
                     alpha=segments[index].alpha_at(b2),

@@ -323,6 +323,11 @@ def test_ratio_defaults_to_configured_costs(capsys):
     assert code == 0
     _, rows = parse_csv(out)
     assert len(rows) == 1 and rows[0][5] == "4"
+    # with c1 = 0 there is no configured ratio to default to
+    code, out, err = run_cli(["ratio", "--kind", "mbr", "--c1", "0", *A_SMALL_FLAGS], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: Usage: give --cost-ratio explicitly when c1 is 0\n"
 
 
 @pytest.mark.parametrize("spec", [f"1..{_MAX_SAMPLES + 1}", f"5..{_MAX_SAMPLES + 5}", "1..30000000"])

@@ -498,6 +498,9 @@ def test_repair_validates_helpers():
         repair(state, 2, [0, 10**5000], [3], 2, 1, Random(0))
     with pytest.raises(InvalidConstructionError):
         repair(state, 0, 5, [], 1, 1, Random(0))  # helpers not an iterable
+    for not_a_state in (None, "x"):
+        with pytest.raises(UsageError, match="state must be a StorageState"):
+            repair(not_a_state, 0, [], [], 1, 1, Random(0))
 
 
 def test_repair_reads_iterator_helpers_once():
@@ -518,6 +521,9 @@ def test_reconstruction_is_rank_limited():
         can_reconstruct(state, [10**5000])
     with pytest.raises(InvalidConstructionError):
         can_reconstruct(state, 5)
+    for not_a_state in (None, "x"):
+        with pytest.raises(UsageError, match="state must be a StorageState"):
+            can_reconstruct(not_a_state, [0])
 
 
 def test_single_symbol_success_rate_matches_nonzero_fraction():
