@@ -136,11 +136,13 @@ class _GraphBuilder:
     """A repair history's edges, one stored node (an in/out pair joined by alpha) at a time.
 
     Originals are fed by the source over unbounded edges; a newcomer
-    downloads beta1 from each cheap helper, then beta2 from each expensive one.
+    downloads beta1 = kprime * beta2 from each cheap helper, then beta2 from each expensive one.
     """
 
-    def __init__(self, alpha: Fraction, beta1: Fraction, beta2: Fraction) -> None:
-        self.alpha, self.beta1, self.beta2 = alpha, beta1, beta2
+    def __init__(self, params: SystemParams, alpha: RationalLike, beta2: RationalLike) -> None:
+        self.alpha = as_nonnegative(alpha, "alpha")
+        self.beta2 = as_nonnegative(beta2, "beta2")
+        self.beta1 = params.kprime * self.beta2
         self.edges: list[FlowEdge] = []
 
     def add_original(self, name: str) -> str:
@@ -169,10 +171,8 @@ def build_gstar(params: SystemParams, alpha: RationalLike, beta2: RationalLike) 
     the first d - j expensive originals, all of them while j <= d1.
     The collector reads exactly the k newcomers.
     """
-    a = as_nonnegative(alpha, "alpha")
-    b2 = as_nonnegative(beta2, "beta2")
     k, d, d1 = params.k, params.d, params.d1
-    builder = _GraphBuilder(a, params.kprime * b2, b2)
+    builder = _GraphBuilder(params, alpha, beta2)
     cheap_pool = [builder.add_original(f"o{i}") for i in range(d1)]
     expensive_pool = [builder.add_original(f"o{i}") for i in range(d1, d)]
     newcomers: list[str] = []
@@ -452,10 +452,8 @@ def history_graph(
     InsufficientHelpersError; events that are not an iterable of triples,
     or readers that are not k distinct ids, raise InvalidConstructionError.
     """
-    a = as_nonnegative(alpha, "alpha")
-    b2 = as_nonnegative(beta2, "beta2")
     n, d1, d2 = params.n, params.d1, params.d2
-    builder = _GraphBuilder(a, params.kprime * b2, b2)
+    builder = _GraphBuilder(params, alpha, beta2)
     live = [builder.add_original(f"o{i}") for i in range(n)]
     try:
         events = tuple(events)

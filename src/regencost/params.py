@@ -36,8 +36,6 @@ from .errors import (
 
 RationalLike = Union[int, str, Fraction]
 
-CHEAP, EXPENSIVE = "cheap", "expensive"
-
 
 def as_fraction(value: RationalLike, what: str = "value") -> Fraction:
     """Coerce an int, Fraction, or "p/q" string to an exact Fraction."""
@@ -254,6 +252,16 @@ def as_repair_event(
     if len({failed, *cheap, *expensive}) != 1 + len(cheap) + len(expensive):
         raise InsufficientHelpersError(f"{what} names a helper twice or failed node {exact_str(failed)} as a helper")
     return failed, cheap, expensive
+
+
+def check_tiers(cheap: Iterable[int], expensive: Iterable[int], n_cheap: int) -> None:
+    """Fixed tiers: ids below ``n_cheap`` are cheap, the rest expensive; a helper of the wrong tier raises
+    InsufficientHelpersError."""
+    for helpers, expected in ((cheap, "cheap"), (expensive, "expensive")):
+        for helper in helpers:
+            tier = "cheap" if helper < n_cheap else "expensive"
+            if tier != expected:
+                raise InsufficientHelpersError(f"node {exact_str(helper)} is {tier}, expected {expected}")
 
 
 def repair_bandwidth(params: SystemParams, beta2: RationalLike) -> Fraction:

@@ -20,7 +20,6 @@ seeded trials do not depend on how the coefficients are batched.
 from __future__ import annotations
 
 import itertools
-from collections import abc
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, isqrt
@@ -28,19 +27,18 @@ from random import Random
 from typing import Sequence, Union
 
 from .errors import (
-    InsufficientHelpersError,
     InvalidChoiceError,
+    InvalidConstructionError,
     NonIntegerDownloadError,
     UsageError,
 )
 from .params import (
-    CHEAP,
-    EXPENSIVE,
     SystemParams,
     as_count,
     as_node_ids,
     as_repair_event,
     as_rng,
+    check_tiers,
     exact_str,
     repair_history,
 )
@@ -290,20 +288,14 @@ def matrix_rank(rows: Sequence[Sequence[int]], field: Field) -> int:
 
 
 @dataclass(frozen=True)
-class NodeState:
-    """Coefficient rows held by one node, in the field's own form (``bytes`` for
-    GF(256), int tuples for prime fields; ``tuple(row)`` is the int form), plus its tier."""
-
-    rows: tuple[Sequence[int], ...]
-    tier: str  # "cheap" | "expensive"
-
-
-@dataclass(frozen=True)
 class StorageState:
-    nodes: tuple[NodeState, ...]
+    """``nodes[i]`` is node i's rows in the field's own form; nodes below ``n_cheap`` are cheap, the rest expensive."""
+
+    nodes: tuple[tuple[Sequence[int], ...], ...]
     file_len: int
     alpha_sym: int
     field: Field
+    n_cheap: int
 
 
 def encode_initial(
@@ -312,22 +304,20 @@ def encode_initial(
     alpha_sym: int,
     field: Field,
     seed: int,
-    tiers: Sequence[str],
+    n_cheap: int,
 ) -> StorageState:
-    """Fill n nodes, of the given tiers, with alpha_sym uniformly random coefficient rows each."""
+    """Fill n nodes, the first ``n_cheap`` (at most n) cheap, with alpha_sym uniformly random coefficient rows each."""
     file_len = as_count(file_len, "file_len", minimum=1)
     n = as_count(n, "n", minimum=1)
     alpha_sym = as_count(alpha_sym, "alpha_sym")
     field = _as_field(field)
-    if not isinstance(tiers, abc.Sequence) or len(tiers) != n or any(t not in (CHEAP, EXPENSIVE) for t in tiers):
-        raise InsufficientHelpersError(f"tiers must be {n} entries of 'cheap'/'expensive'")
+    n_cheap = as_count(n_cheap, "n_cheap")
+    if n_cheap > n:
+        raise InvalidConstructionError(f"n_cheap={exact_str(n_cheap)} exceeds n={n}")
     coeffs = field.draw(Random(_as_seed(seed)), n * alpha_sym * file_len)
     rows = [coeffs[i : i + file_len] for i in range(0, len(coeffs), file_len)]
-    nodes = tuple(
-        NodeState(rows=tuple(rows[j * alpha_sym : (j + 1) * alpha_sym]), tier=tier)
-        for j, tier in enumerate(tiers)
-    )
-    return StorageState(nodes=nodes, file_len=file_len, alpha_sym=alpha_sym, field=field)
+    nodes = tuple(tuple(rows[j * alpha_sym : (j + 1) * alpha_sym]) for j in range(n))
+    return StorageState(nodes=nodes, file_len=file_len, alpha_sym=alpha_sym, field=field, n_cheap=n_cheap)
 
 
 def repair(
@@ -343,8 +333,9 @@ def repair(
 
     Cheap helpers send beta1_sym rows, expensive ones beta2_sym; the
     newcomer stores alpha_sym random combinations of everything received
-    and inherits the failed node's tier.  The event is checked by
-    :func:`regencost.params.as_repair_event`, then each helper's tier.
+    and takes the failed node's id, and so its tier.  The event is checked
+    by :func:`regencost.params.as_repair_event`, then the helpers' tiers by
+    :func:`regencost.params.check_tiers` with the state's ``n_cheap``.
     """
     state = _as_state(state)
     failed_node, helpers_cheap, helpers_expensive = as_repair_event(
@@ -353,12 +344,9 @@ def repair(
     beta1_sym = as_count(beta1_sym, "beta1_sym")
     beta2_sym = as_count(beta2_sym, "beta2_sym")
     rng = as_rng(rng)
-    sends = []
-    for helpers, tier, count in ((helpers_cheap, CHEAP, beta1_sym), (helpers_expensive, EXPENSIVE, beta2_sym)):
-        for helper in helpers:
-            if state.nodes[helper].tier != tier:
-                raise InsufficientHelpersError(f"node {helper} is {state.nodes[helper].tier}, expected {tier}")
-            sends.append((state.nodes[helper].rows, count))
+    check_tiers(helpers_cheap, helpers_expensive, state.n_cheap)
+    sends = [(state.nodes[helper], beta1_sym) for helper in helpers_cheap]
+    sends += [(state.nodes[helper], beta2_sym) for helper in helpers_expensive]
     field, width = state.field, state.file_len
     n_received = sum(count for _, count in sends)
     # one draw for every coefficient, in the order of the per-row calls: helpers' sends, then new rows
@@ -374,7 +362,7 @@ def repair(
         new_rows.append(field.combine(received, width, coeffs[start : start + n_received]))
         start += n_received
     nodes = list(state.nodes)
-    nodes[failed_node] = NodeState(rows=tuple(new_rows), tier=state.nodes[failed_node].tier)
+    nodes[failed_node] = tuple(new_rows)
     return replace(state, nodes=tuple(nodes))
 
 
@@ -390,7 +378,7 @@ def can_reconstruct(state: StorageState, node_ids: Sequence[int]) -> bool:
     state = _as_state(state)
     rows: list[Sequence[int]] = []
     for node in as_node_ids(node_ids, len(state.nodes), "node_ids"):
-        rows.extend(state.nodes[node].rows)
+        rows.extend(state.nodes[node])
     return matrix_rank(rows, state.field) == state.file_len
 
 
@@ -460,8 +448,7 @@ def run_trial(
     rng = Random(_as_seed(seed))
     # checks n_cheap and num_failures; the events are drawn only as the loop below asks for them
     history = repair_history(params, n_cheap, num_failures, rng, worst_case=helper_mode == "worst-case")
-    tiers = tuple(CHEAP if i < n_cheap else EXPENSIVE for i in range(n))
-    state = encode_initial(int(params.file_size), n, alpha_sym, field, rng.getrandbits(32), tiers)
+    state = encode_initial(int(params.file_size), n, alpha_sym, field, rng.getrandbits(32), n_cheap)
     for failed, cheap, expensive in history:
         state = repair(state, failed, cheap, expensive, beta1_sym, beta2_sym, rng)
     checks = tuple(

@@ -324,8 +324,11 @@ class TradeoffCurve:
         Each beta2's segment is found by bisection over the breakpoints.  The
         first point of each visit to a segment comes from ``operating_point``,
         as does a beta2 below the curve, which ``alpha_min`` refuses; the rest
-        are read off the segment's line.
+        are read off the segment's line.  ``beta2s`` must be a non-string
+        iterable (UsageError otherwise).
         """
+        if isinstance(beta2s, str) or not isinstance(beta2s, Iterable):
+            raise UsageError(f"beta2s must be an iterable of beta2 values, got {type(beta2s).__name__}")
         params, segments, starts = self.params, self.segments, self.breakpoints()
         kprime, gamma_per_beta2 = params.kprime, params.gamma_per_beta2
         cost_per_beta2 = params.cost_per_beta2

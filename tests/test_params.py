@@ -19,7 +19,7 @@ from regencost import (
     total_cost,
     validate_params,
 )
-from regencost.params import repair_history
+from regencost.params import check_tiers, repair_history
 
 
 def test_scenario_a_when_cheap_tier_alone_can_rebuild():
@@ -177,6 +177,7 @@ def test_repair_history_always_has_a_failable_node_and_full_pools():
                 assert len(cheap_helpers) == d1 and set(cheap_helpers) <= cheap - {failed}
                 assert len(expensive_helpers) == d2 and set(expensive_helpers) <= expensive - {failed}
                 assert len(set(cheap_helpers)) == d1 and len(set(expensive_helpers)) == d2
+                check_tiers(cheap_helpers, expensive_helpers, n_cheap)
         configs += 1
     assert configs > 500
 

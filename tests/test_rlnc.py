@@ -17,7 +17,7 @@ from regencost.errors import (
     UnknownNodeError,
     UsageError,
 )
-from regencost.params import CHEAP, EXPENSIVE, repair_history
+from regencost.params import repair_history
 from regencost.rlnc import (
     GF256,
     MAX_PRIME_ORDER,
@@ -289,8 +289,7 @@ def _repaired_state(params, alpha_sym, beta1_sym, beta2_sym, failures, seed):
     """A seeded state after ``failures`` repairs, built the way ``run_trial`` builds it."""
     rng = Random(seed)
     n_cheap = params.n - params.d2
-    tiers = tuple(CHEAP if i < n_cheap else EXPENSIVE for i in range(params.n))
-    state = encode_initial(int(params.file_size), params.n, alpha_sym, GF256, rng.getrandbits(32), tiers)
+    state = encode_initial(int(params.file_size), params.n, alpha_sym, GF256, rng.getrandbits(32), n_cheap)
     for failed, cheap, expensive in repair_history(params, n_cheap, failures, rng):
         state = repair(state, failed, cheap, expensive, beta1_sym, beta2_sym, rng)
     return state
@@ -309,7 +308,7 @@ def test_matrix_rank_matches_scalar_elimination_on_collector_rows(alpha_sym, bet
     for seed in range(3):
         state = _repaired_state(params, alpha_sym, beta1_sym, beta2_sym, failures=4, seed=seed)
         for subset in combinations(range(params.n), params.k):
-            rows = [row for node in subset for row in state.nodes[node].rows]
+            rows = [row for node in subset for row in state.nodes[node]]
             rank = matrix_rank(rows, GF256)
             assert rank == _scalar_rank(rows)
             assert can_reconstruct(state, subset) is (rank == 12)
@@ -379,46 +378,54 @@ def test_matrix_rank_matches_scalar_elimination_on_small_shapes(rows):
 
 
 def test_encode_initial_shape_and_determinism():
-    state = encode_initial(4, 3, 2, GF256, seed=5, tiers=("cheap",) * 3)
+    state = encode_initial(4, 3, 2, GF256, seed=5, n_cheap=3)
     assert len(state.nodes) == 3
-    assert all(len(node.rows) == 2 for node in state.nodes)
-    assert all(len(row) == 4 for node in state.nodes for row in node.rows)
-    assert all(0 <= v < 256 for node in state.nodes for row in node.rows for v in row)
-    assert all(node.tier == "cheap" for node in state.nodes)
-    assert state == encode_initial(4, 3, 2, GF256, seed=5, tiers=("cheap",) * 3)
-    assert state != encode_initial(4, 3, 2, GF256, seed=6, tiers=("cheap",) * 3)
+    assert all(len(node) == 2 for node in state.nodes)
+    assert all(len(row) == 4 for node in state.nodes for row in node)
+    assert all(0 <= v < 256 for node in state.nodes for row in node for v in row)
+    assert state.n_cheap == 3
+    assert state == encode_initial(4, 3, 2, GF256, seed=5, n_cheap=3)
+    assert state != encode_initial(4, 3, 2, GF256, seed=6, n_cheap=3)
 
 
 def test_encode_initial_tier_assignment():
-    state = encode_initial(2, 3, 1, GF256, seed=0, tiers=("cheap", "expensive", "expensive"))
-    assert [node.tier for node in state.nodes] == ["cheap", "expensive", "expensive"]
+    state = encode_initial(2, 3, 1, GF256, seed=0, n_cheap=1)
+    assert state.n_cheap == 1
+    # node 0 is cheap, nodes 1 and 2 expensive
+    repair(state, 1, [0], [2], 1, 1, Random(0))
+    with pytest.raises(InsufficientHelpersError, match="node 2 is expensive, expected cheap"):
+        repair(state, 1, [2], [], 1, 1, Random(0))
+    with pytest.raises(InsufficientHelpersError, match="node 0 is cheap, expected expensive"):
+        repair(state, 1, [], [0], 1, 1, Random(0))
 
 
 def test_encode_initial_validation():
     with pytest.raises(NonPositiveError):
-        encode_initial(0, 3, 1, GF256, seed=0, tiers=("cheap",) * 3)
+        encode_initial(0, 3, 1, GF256, seed=0, n_cheap=3)
     with pytest.raises(NonIntegerDownloadError):
-        encode_initial(F(1, 2), 3, 1, GF256, seed=0, tiers=("cheap",) * 3)
+        encode_initial(F(1, 2), 3, 1, GF256, seed=0, n_cheap=3)
     with pytest.raises(NonIntegerDownloadError):
-        encode_initial(True, 3, 1, GF256, seed=0, tiers=("cheap",) * 3)
-    with pytest.raises(InsufficientHelpersError):
-        encode_initial(2, 3, 1, GF256, seed=0, tiers=("cheap", "cheap"))
-    with pytest.raises(InsufficientHelpersError):
-        encode_initial(2, 2, 1, GF256, seed=0, tiers=("cheap", "slow"))
-    with pytest.raises(InsufficientHelpersError):
-        encode_initial(2, 2, 1, GF256, seed=0, tiers=None)
+        encode_initial(True, 3, 1, GF256, seed=0, n_cheap=3)
+    with pytest.raises(InvalidConstructionError):
+        encode_initial(2, 3, 1, GF256, seed=0, n_cheap=4)
+    with pytest.raises(NonPositiveError):
+        encode_initial(2, 3, 1, GF256, seed=0, n_cheap=-1)
+    with pytest.raises(NonIntegerDownloadError):
+        encode_initial(2, 3, 1, GF256, seed=0, n_cheap=True)
+    with pytest.raises(NonIntegerDownloadError):
+        encode_initial(2, 3, 1, GF256, seed=0, n_cheap=None)
 
 
 def _two_tier_state(seed=0):
-    return encode_initial(4, 4, 2, GF256, seed=seed, tiers=("cheap", "cheap", "expensive", "expensive"))
+    return encode_initial(4, 4, 2, GF256, seed=seed, n_cheap=2)
 
 
 def test_repair_replaces_only_the_failed_node():
     state = _two_tier_state()
     repaired = repair(state, 2, [0, 1], [3], beta1_sym=2, beta2_sym=1, rng=Random(9))
-    assert repaired.nodes[2].tier == "expensive"  # tier inherited
-    assert repaired.nodes[2].rows != state.nodes[2].rows
-    assert len(repaired.nodes[2].rows) == state.alpha_sym
+    assert repaired.n_cheap == state.n_cheap  # tier inherited
+    assert repaired.nodes[2] != state.nodes[2]
+    assert len(repaired.nodes[2]) == state.alpha_sym
     for i in (0, 1, 3):
         assert repaired.nodes[i] == state.nodes[i]
     assert repair(state, 2, [0, 1], [3], beta1_sym=2, beta2_sym=1, rng=Random(9)) == repaired
@@ -428,7 +435,7 @@ def test_repair_rows_match_per_element_recomputation():
     # repair draws all its coefficients at once; its rows, and the rng it leaves
     # behind, must be those of one randrange(order) per coefficient, in order
     for field in (GF256, PrimeField(257)):
-        state = encode_initial(6, 5, 3, field, seed=4, tiers=("cheap",) * 3 + ("expensive",) * 2)
+        state = encode_initial(6, 5, 3, field, seed=4, n_cheap=3)
         for seed in range(5):
             rng = Random(seed)
             rng.getrandbits(seed)  # start mid-stream, as a trial's repairs do
@@ -436,35 +443,35 @@ def test_repair_rows_match_per_element_recomputation():
             reference.setstate(rng.getstate())
             repaired = repair(state, 1, [0, 2], [4], beta1_sym=2, beta2_sym=1, rng=rng)
             received = [
-                _scalar_combination(state.nodes[helper].rows, 6, reference, field)
+                _scalar_combination(state.nodes[helper], 6, reference, field)
                 for helper, count in ((0, 2), (2, 2), (4, 1))
                 for _ in range(count)
             ]
             expected = tuple(_scalar_combination(received, 6, reference, field) for _ in range(state.alpha_sym))
-            assert tuple(tuple(row) for row in repaired.nodes[1].rows) == expected
+            assert tuple(tuple(row) for row in repaired.nodes[1]) == expected
             assert rng.getstate() == reference.getstate()
 
 
 def test_encode_initial_rows_are_per_coefficient_draws():
     for field in (GF256, PrimeField(257)):
-        state = encode_initial(4, 3, 2, field, seed=7, tiers=("cheap",) * 3)
+        state = encode_initial(4, 3, 2, field, seed=7, n_cheap=3)
         rng = Random(7)
-        assert [tuple(row) for node in state.nodes for row in node.rows] == [
+        assert [tuple(row) for node in state.nodes for row in node] == [
             tuple(rng.randrange(field.order) for _ in range(4)) for _ in range(3 * 2)
         ]
-        assert all(type(v) is int for node in state.nodes for row in node.rows for v in row)
+        assert all(type(v) is int for node in state.nodes for row in node for v in row)
 
 
 @pytest.mark.parametrize("field, row_type", [(GF256, bytes), (PrimeField(257), tuple)], ids=["gf256", "p257"])
 def test_stored_rows_are_the_fields_own_rows(field, row_type):
     # rows stay in the field's own form from draw to rank: bytes for GF(256), int tuples for p257
     def assert_rows(state):
-        rows = [row for node in state.nodes for row in node.rows]
+        rows = [row for node in state.nodes for row in node]
         assert len(rows) == 5 * 3
         assert all(type(row) is row_type and len(row) == 6 for row in rows)
         assert all(type(v) is int and 0 <= v < field.order for row in rows for v in row)
 
-    state = encode_initial(6, 5, 3, field, seed=4, tiers=("cheap",) * 3 + ("expensive",) * 2)
+    state = encode_initial(6, 5, 3, field, seed=4, n_cheap=3)
     assert_rows(state)
     rng = Random(1)
     state = repair(state, 1, [0, 2], [4], beta1_sym=2, beta2_sym=1, rng=rng)
@@ -483,7 +490,7 @@ def test_repair_validates_helpers():
         repair(state, 2, [0, 0], [3], 2, 1, Random(0))  # duplicate helper
     with pytest.raises(InsufficientHelpersError):
         repair(state, 2, [0, 1], [2], 2, 1, Random(0))  # helps itself
-    with pytest.raises(InsufficientHelpersError):
+    with pytest.raises(InsufficientHelpersError, match="node 3 is expensive, expected cheap"):
         repair(state, 2, [0, 3], [1], 2, 1, Random(0))  # tiers swapped
     with pytest.raises(NonIntegerDownloadError):
         repair(state, 2, [0, 1], [3], F(1, 2), 1, Random(0))
@@ -505,7 +512,7 @@ def test_repair_validates_helpers():
 
 def test_repair_reads_iterator_helpers_once():
     # checking the helpers must not use up an iterator before their rows are sent
-    state = encode_initial(8, 4, 2, GF256, 0, ("cheap",) * 4)
+    state = encode_initial(8, 4, 2, GF256, 0, 4)
     from_list = repair(state, 0, [1, 2], [], 1, 1, Random(0))
     assert repair(state, 0, iter([1, 2]), [], 1, 1, Random(0)) == from_list
     assert repair(state, 0, iter([1, 2]), iter([]), 1, 1, Random(0)) == from_list
@@ -513,7 +520,7 @@ def test_repair_reads_iterator_helpers_once():
 
 def test_reconstruction_is_rank_limited():
     # two nodes holding one row each can never span a three-symbol file
-    state = encode_initial(3, 5, 1, GF256, seed=2, tiers=("cheap",) * 5)
+    state = encode_initial(3, 5, 1, GF256, seed=2, n_cheap=5)
     assert not can_reconstruct(state, [0, 1])
     with pytest.raises(UnknownNodeError):
         can_reconstruct(state, [0, 7])
@@ -529,8 +536,8 @@ def test_reconstruction_is_rank_limited():
 def test_single_symbol_success_rate_matches_nonzero_fraction():
     # with one coefficient per node, reconstruction succeeds exactly when
     # the coefficient is nonzero, so the rate estimates 255/256
-    state = encode_initial(1, 2000, 1, GF256, seed=11, tiers=("cheap",) * 2000)
-    nonzero = sum(1 for node in state.nodes if node.rows[0][0] != 0)
+    state = encode_initial(1, 2000, 1, GF256, seed=11, n_cheap=2000)
+    nonzero = sum(1 for node in state.nodes if node[0][0] != 0)
     successes = sum(1 for i in range(2000) if can_reconstruct(state, [i]))
     assert successes == nonzero
     assert successes / 2000 >= 0.95
@@ -558,7 +565,7 @@ def test_seeds_must_be_ints():
         with pytest.raises(UsageError, match="seed must be an int"):
             run_trial(GMBR_PARAMS, alpha_sym=5, beta2_sym=1, num_failures=1, seed=seed)
         with pytest.raises(UsageError, match="seed must be an int"):
-            encode_initial(4, 3, 2, GF256, seed=seed, tiers=("cheap",) * 3)
+            encode_initial(4, 3, 2, GF256, seed=seed, n_cheap=3)
     negative = run_trial(GMBR_PARAMS, alpha_sym=5, beta2_sym=1, num_failures=1, seed=-3)
     assert negative.seed == -3
     assert negative == run_trial(GMBR_PARAMS, alpha_sym=5, beta2_sym=1, num_failures=1, seed=-3)

@@ -157,7 +157,7 @@ _ROWS = st.one_of(
     ),
 )
 _TRIAL_PARAMS = SystemParams(4, 2, 2, 1, kprime=2, file_size=8)
-_TRIAL_TIERS = ("cheap",) * 3 + ("expensive",)
+_TRIAL_N_CHEAP = 3
 
 
 class _SubclassedRandom(Random):
@@ -202,15 +202,15 @@ def test_rlnc_inputs_raise_only_typed_errors(name, order, seed, rows, field, any
     seeded = type(seed) is int
     trial = _typed(rlnc.run_trial, _TRIAL_PARAMS, 5, 1, 1, seed, max_subsets=2)
     assert trial.seed == seed if seeded else trial is None
-    state = _typed(rlnc.encode_initial, 4, 3, 2, rlnc.GF256, seed, ("cheap",) * 3)
+    state = _typed(rlnc.encode_initial, 4, 3, 2, rlnc.GF256, seed, 3)
     assert (state is not None) == seeded
     # a field is a ByteField or PrimeField and an rng a random.Random; repair_history checks when created
     is_field = isinstance(any_field, (rlnc.ByteField, rlnc.PrimeField))
     is_rng = isinstance(rng, Random)
     assert (_typed(rlnc.matrix_rank, [[1]], any_field) is not None) == is_field
-    assert (_typed(rlnc.encode_initial, 8, 4, 2, any_field, 0, _TRIAL_TIERS) is not None) == is_field
+    assert (_typed(rlnc.encode_initial, 8, 4, 2, any_field, 0, _TRIAL_N_CHEAP) is not None) == is_field
     assert (_typed(rlnc.run_trial, _TRIAL_PARAMS, 2, 1, 1, 0, field=any_field, max_subsets=2) is not None) == is_field
-    state = rlnc.encode_initial(8, 4, 2, rlnc.GF256, 0, _TRIAL_TIERS)
+    state = rlnc.encode_initial(8, 4, 2, rlnc.GF256, 0, _TRIAL_N_CHEAP)
     assert (_typed(rlnc.repair, state, 0, [1, 2], [3], 2, 1, rng) is not None) == is_rng
     assert (_typed(cutflow.random_history_graph, _TRIAL_PARAMS, 4, 1, rng, 1) is not None) == is_rng
     assert (_typed(repair_history, _TRIAL_PARAMS, 3, 1, rng) is not None) == is_rng
@@ -293,10 +293,12 @@ def test_every_breakpoint_family_refuses_a_non_int_index(index):
         (lambda: cutflow.verify_closed_form(_P, 5), UsageError),
         (lambda: cutflow.verify_closed_form(_P, "12"), UsageError),
         (lambda: cutflow.verify_closed_form(_P, []), NonPositiveError),
+        (lambda: tradeoff.tradeoff_curve(_P).points(5), UsageError),
+        (lambda: tradeoff.tradeoff_curve(_P).points("12"), UsageError),
     ],
     ids=["float-kprime", "str-kprimes", "digit-str-kprimes", "str-max-k", "float-max-d", "bool-max-k",
          "negative-max-d", "zero-max-k", "zero-max-d", "no-kprimes", "int-kprimes",
-         "int-grid", "str-grid", "empty-grid"],
+         "int-grid", "str-grid", "empty-grid", "int-points", "str-points"],
 )
 def test_sweep_helpers_raise_typed_errors(call, error):
     with pytest.raises(error):
