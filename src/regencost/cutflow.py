@@ -137,6 +137,10 @@ class _GraphBuilder:
 
     Originals are fed by the source over unbounded edges; a newcomer
     downloads beta1 = kprime * beta2 from each cheap helper, then beta2 from each expensive one.
+    Each node's names are formatted once: ``add_original`` and
+    ``add_newcomer`` return the node's out-end (``"x3.out"``), and helpers
+    and collector reads are given as out-ends, so every edge out of a node
+    shares one ``str``, whose hash is computed once.
     """
 
     def __init__(self, params: SystemParams, alpha: RationalLike, beta2: RationalLike) -> None:
@@ -146,18 +150,19 @@ class _GraphBuilder:
         self.edges: list[FlowEdge] = []
 
     def add_original(self, name: str) -> str:
-        self.edges += (FlowEdge(f"{name}.in", f"{name}.out", self.alpha), FlowEdge(SOURCE, f"{name}.in", None))
-        return name
+        head, out = f"{name}.in", f"{name}.out"
+        self.edges += (FlowEdge(head, out, self.alpha), FlowEdge(SOURCE, head, None))
+        return out
 
     def add_newcomer(self, name: str, cheap: Iterable[str], expensive: Iterable[str]) -> str:
-        head = f"{name}.in"
-        self.edges.append(FlowEdge(head, f"{name}.out", self.alpha))
-        self.edges += (FlowEdge(f"{helper}.out", head, self.beta1) for helper in cheap)
-        self.edges += (FlowEdge(f"{helper}.out", head, self.beta2) for helper in expensive)
-        return name
+        head, out = f"{name}.in", f"{name}.out"
+        self.edges.append(FlowEdge(head, out, self.alpha))
+        self.edges += (FlowEdge(helper, head, self.beta1) for helper in cheap)
+        self.edges += (FlowEdge(helper, head, self.beta2) for helper in expensive)
+        return out
 
-    def add_collector_read(self, name: str) -> None:
-        self.edges.append(FlowEdge(f"{name}.out", SINK, None))
+    def add_collector_read(self, out: str) -> None:
+        self.edges.append(FlowEdge(out, SINK, None))
 
 
 def build_gstar(params: SystemParams, alpha: RationalLike, beta2: RationalLike) -> FlowGraph:
@@ -179,9 +184,9 @@ def build_gstar(params: SystemParams, alpha: RationalLike, beta2: RationalLike) 
     for j in range(k):
         cheap = newcomers[:d1] + cheap_pool[: max(d1 - j, 0)]
         expensive = newcomers[d1:] + expensive_pool[: d - j]
-        name = builder.add_newcomer(f"x{j}", cheap, expensive)
-        builder.add_collector_read(name)
-        newcomers.append(name)
+        out = builder.add_newcomer(f"x{j}", cheap, expensive)
+        builder.add_collector_read(out)
+        newcomers.append(out)
     return FlowGraph(edges=tuple(builder.edges))
 
 
@@ -212,6 +217,21 @@ class _ResidualNetwork(nx.DiGraph):
         return self._succ[node]
 
 
+def _as_graph(graph: FlowGraph) -> FlowGraph:
+    """``graph`` itself when it is a :class:`FlowGraph`; anything else raises UsageError."""
+    if not isinstance(graph, FlowGraph):
+        raise UsageError(f"graph must be a FlowGraph, got {type(graph).__name__}")
+    return graph
+
+
+def _check_capacity(capacity: object) -> None:
+    """A finite capacity is a nonnegative int or Fraction: UsageError or NonPositiveError otherwise."""
+    if isinstance(capacity, bool) or not isinstance(capacity, (int, Fraction)):
+        raise UsageError(f"an edge capacity must be a Fraction, an int or None, got {type(capacity).__name__}")
+    if capacity.numerator < 0:  # a Fraction's sign is its numerator's, and this skips Fraction's comparison
+        raise NonPositiveError(f"an edge capacity must be nonnegative, got {exact_str(capacity)}")
+
+
 def max_flow(graph: FlowGraph) -> Fraction:
     """Exact max flow: scale capacities to integers, merge the terminals, run networkx.
 
@@ -225,68 +245,95 @@ def max_flow(graph: FlowGraph) -> Fraction:
     together.  Edmonds-Karp is strongly polynomial, so the size of the
     integer scale does not slow it down.
 
+    A graph carries few distinct capacity objects (a repair history three:
+    alpha, beta1 and beta2), so a first pass over the edges collects them
+    by ``id``, beside the terminal merges; ``graph.edges`` keeps each one
+    alive for the whole call, so no id is reused.  Each distinct capacity
+    is checked once and scaled once, by the one lcm of their
+    denominators.  A second pass reads each edge's integer by identity
+    and adds it into ``into[head][tail]``, the merged capacities grouped
+    by head; zero contributions are skipped.  An argument that is not a
+    :class:`FlowGraph`, or a capacity that is not an int, a Fraction or
+    None, raises UsageError; a negative capacity raises NonPositiveError.
+
     The residual network Edmonds-Karp runs on is built here and passed as
     ``residual=``, so networkx copies no graph.  It holds only the
     positive-capacity pairs whose head can reach the sink: flow into a
     node that cannot reach the sink has nowhere to go, so dropping those
-    pairs leaves the value as it is.  One pass over those pairs fills its
-    successor and predecessor dicts, the layout of a networkx DiGraph, and
-    :class:`_ResidualNetwork` hands Edmonds-Karp those dicts themselves
-    where a DiGraph would wrap them in views.
+    pairs leaves the value as it is.  One walk over ``into``, back from
+    the sink, finds those heads and places each one's pairs in the
+    network's successor and predecessor dicts, the layout of a networkx
+    DiGraph, and :class:`_ResidualNetwork` hands Edmonds-Karp those dicts
+    themselves where a DiGraph would wrap them in views.
     """
-    scale = math.lcm(1, *(capacity.denominator for _, _, capacity in graph.edges if capacity is not None))
+    edges = _as_graph(graph).edges
     side: dict[str, str] = {}
-    for tail, head, capacity in graph.edges:
-        if capacity is None:
-            if tail == SOURCE and head not in (SOURCE, SINK):
-                side[head] = SOURCE
-            elif head == SINK and tail not in (SOURCE, SINK):
-                side.setdefault(tail, SINK)
-    capacities: dict[tuple[str, str], int] = {}
+    distinct: dict[int, Fraction] = {}
+    for tail, head, capacity in edges:
+        if capacity is not None:
+            distinct[id(capacity)] = capacity
+        elif tail == SOURCE and head not in (SOURCE, SINK):
+            side[head] = SOURCE
+        elif head == SINK and tail not in (SOURCE, SINK):
+            side.setdefault(tail, SINK)
+    for capacity in distinct.values():
+        _check_capacity(capacity)
+    scale = math.lcm(1, *(capacity.denominator for capacity in distinct.values()))
+    scaled = {key: capacity.numerator * (scale // capacity.denominator) for key, capacity in distinct.items()}
+    into: dict[str, dict[str, int]] = {}
     finite_total = 0
     unbounded: list[tuple[str, str]] = []
-    for tail, head, capacity in graph.edges:
+    merged = side.get
+    for tail, head, capacity in edges:
         if capacity is not None:
-            scaled = capacity.numerator * (scale // capacity.denominator)
-            finite_total += scaled
-        tail = side.get(tail, tail)
-        head = side.get(head, head)
+            amount = scaled[id(capacity)]
+            if not amount:
+                continue
+            finite_total += amount
+        tail = merged(tail, tail)
+        head = merged(head, head)
         if tail == head or head == SOURCE or tail == SINK:
             continue
-        key = (tail, head)
         if capacity is None:
-            unbounded.append(key)
+            unbounded.append((tail, head))
+            continue
+        tails = into.get(head)
+        if tails is None:
+            into[head] = {tail: amount}
+        elif tail in tails:
+            tails[tail] += amount
         else:
-            capacities[key] = capacities.get(key, 0) + scaled
+            tails[tail] = amount
     bound = 1 + finite_total  # exceeds any cut made of finite edges
-    for key in unbounded:
-        capacities[key] = bound
-    tails_into: dict[str, list[str]] = {}
-    for (tail, head), capacity in capacities.items():
-        if capacity > 0:
-            tails_into.setdefault(head, []).append(tail)
+    for tail, head in unbounded:
+        into.setdefault(head, {})[tail] = bound
     # Edmonds-Karp's residual network as networkx lays out a DiGraph: successor and
     # predecessor dicts with one entry per node, each edge dict shared by both.  The
-    # nodes are the terminals and every node that reaches the sink, found by walking
-    # back from it; no pair leads into the source, so entering it up front is safe
+    # nodes are the terminals and every node that reaches the sink, entered as the walk
+    # back from the sink meets them; each head's pairs are placed when it is popped.
+    # No pair leads into the source, so entering it up front is safe
     succ: dict[str, dict[str, dict[str, int]]] = {SOURCE: {}, SINK: {}}
     pred: dict[str, dict[str, dict[str, int]]] = {SOURCE: {}, SINK: {}}
+    kept_total = 0
     stack = [SINK]
     while stack:
-        for tail in tails_into.get(stack.pop(), ()):
-            if tail not in succ:
-                succ[tail] = {}
+        head = stack.pop()
+        tails = into.get(head)
+        if tails is None:
+            continue
+        out_of_head, into_head = succ[head], pred[head]
+        kept_total += sum(tails.values())
+        for tail, capacity in tails.items():
+            out_of_tail = succ.get(tail)
+            if out_of_tail is None:
+                out_of_tail = succ[tail] = {}
                 pred[tail] = {}
                 stack.append(tail)
-    kept_total = 0
-    for (tail, head), capacity in capacities.items():
-        if capacity > 0 and head in succ:
-            kept_total += capacity
-            edge = succ[tail].get(head)
+            edge = out_of_tail.get(head)
             if edge is None:
                 # each pair beside its reverse, which has capacity 0 unless it is a pair of its own
-                succ[tail][head] = pred[head][tail] = {"capacity": capacity}
-                succ[head][tail] = pred[tail][head] = {"capacity": 0}
+                out_of_tail[head] = into_head[tail] = {"capacity": capacity}
+                out_of_head[tail] = pred[tail][head] = {"capacity": 0}
             else:  # placed first as the reverse of its own reverse
                 edge["capacity"] = capacity
     # networkx's stand-in for an infinite capacity; no augmenting path can carry half of it
@@ -298,12 +345,16 @@ def max_flow(graph: FlowGraph) -> Fraction:
 
 
 def to_edge_list(graph: FlowGraph) -> str:
-    """One line per edge: `tail head num/den`, with `inf` for unbounded edges."""
+    """One line per edge: `tail head num/den`, with `inf` for unbounded edges.
+
+    The graph and its capacities are checked as :func:`max_flow` checks them.
+    """
     lines = []
-    for tail, head, capacity in graph.edges:
+    for tail, head, capacity in _as_graph(graph).edges:
         if capacity is None:
             lines.append(f"{tail} {head} inf")
         else:
+            _check_capacity(capacity)
             lines.append(f"{tail} {head} {capacity.numerator}/{capacity.denominator}")
     return "\n".join(lines)
 

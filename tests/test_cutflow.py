@@ -19,6 +19,7 @@ from regencost import (
     InvalidConstructionError,
     NonIntegerDownloadError,
     NonPositiveError,
+    UsageError,
     alpha_min,
     beta2_min,
     tradeoff_curve,
@@ -457,6 +458,89 @@ def test_max_flow_scales_through_the_module_lcm_once_per_solve(monkeypatch):
     for graph in graphs:
         max_flow(graph)
     assert len(calls) == len(graphs)
+
+
+def _with_a_new_fraction_per_edge(graph):
+    return FlowGraph(tuple(
+        FlowEdge(tail, head, None if capacity is None else Fraction(capacity.numerator, capacity.denominator))
+        for tail, head, capacity in graph.edges
+    ))
+
+
+def test_max_flow_reads_shared_and_separate_capacity_objects_alike(monkeypatch):
+    # the builders share one Fraction per capacity; max_flow scales each distinct object
+    # once, which must neither merge two edges' capacities nor miss one
+    a, b2 = F(11, 20), F(3, 20)
+    shared = [
+        build_gstar(B_SMALL, F(3, 8), F(1, 4)),
+        history_graph(A_SMALL, a, b2, [(0, [1, 2], [3]), (1, [0, 2], [3]), (2, [0, 1], [3])], [2, 3]),
+        # one object on two parallel edges counts twice; equal values on other objects count apart
+        _graph(("S", "a.in", None), ("a.in", "a.out", a), ("a.in", "a.out", a), ("a.in", "a.out", F(11, 20)),
+               ("a.out", "b", b2), ("a.out", "b", b2), ("b", "DC", F(1))),
+    ]
+    references = [_reference_max_flow(graph) for graph in shared]
+    assert references[2] == F(3, 10)
+    residuals = _solves(monkeypatch)
+    for graph, reference in zip(shared, references):
+        finite = [edge.capacity for edge in graph.edges if edge.capacity is not None]
+        separate = _with_a_new_fraction_per_edge(graph)
+        assert len({id(capacity) for capacity in finite}) < len(finite)  # some edges share one object
+        assert len({id(edge.capacity) for edge in separate.edges if edge.capacity is not None}) == len(finite)
+        assert max_flow(graph) == max_flow(separate) == reference
+        first, second = (
+            {(u, v): data["capacity"] for u, v, data in residual.edges(data=True)} for residual in residuals
+        )
+        assert first == second
+        residuals.clear()
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        # a negative capacity silently removed flow
+        (lambda: max_flow(_graph(("S", "DC", F(-1)), ("S", "DC", F(2)))), NonPositiveError),
+        (lambda: max_flow(_graph(("S", "a", F(1)), ("a", "DC", -1))), NonPositiveError),
+        (lambda: to_edge_list(_graph(("S", "DC", F(-1, 2)))), NonPositiveError),
+        (lambda: max_flow(_graph(("S", "DC", 0.5))), UsageError),
+        (lambda: max_flow(_graph(("S", "DC", float("nan")))), UsageError),
+        (lambda: max_flow(_graph(("S", "DC", True))), UsageError),
+        (lambda: max_flow(_graph(("S", "DC", "1/2"))), UsageError),
+        (lambda: max_flow(_graph(("S", "DC", [1]))), UsageError),
+        (lambda: to_edge_list(_graph(("S", "DC", 0.5))), UsageError),
+        (lambda: max_flow(None), UsageError),
+        (lambda: max_flow(build_gstar(A_SMALL, 1, 1).edges), UsageError),
+        (lambda: to_edge_list(None), UsageError),
+    ],
+    ids=["negative", "negative-int", "negative-edge-list", "float", "nan", "bool", "str", "list",
+         "float-edge-list", "none-graph", "edge-tuple-graph", "none-edge-list"],
+)
+def test_max_flow_and_edge_list_refuse_bad_graphs_with_typed_errors(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_max_flow_takes_int_capacities_as_they_are():
+    graph = _graph(("S", "a", 2), ("a", "DC", F(3, 2)), ("S", "DC", 0))
+    assert max_flow(graph) == F(3, 2)
+    assert to_edge_list(graph) == "S a 2/1\na DC 3/2\nS DC 0/1"
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        build_gstar(CONFIG_A, F(1, 2), F(1, 7)),
+        random_history_graph(CONFIG_B, F(1, 2), F(1, 7), Random(3), failures=40),
+    ],
+    ids=["gstar", "history"],
+)
+def test_builders_format_each_node_name_once(graph):
+    # every edge out of (or into) a node holds the one str the builder made for it,
+    # so max_flow hashes each name once however many edges it ends
+    names = {}
+    for edge in graph.edges:
+        for end in (edge.tail, edge.head):
+            assert names.setdefault(end, end) is end, end
+    assert len(names) == len(graph.nodes)
 
 
 def test_edge_list_rendering():

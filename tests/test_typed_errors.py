@@ -1,6 +1,7 @@
 """Every public call on any input returns an exact value or raises a RegenError."""
 
 import random
+import re
 from dataclasses import astuple
 from fractions import Fraction
 from random import Random
@@ -51,6 +52,8 @@ def _is_exact(value: object) -> bool:
         return all(isinstance(x, Fraction) for x in value.breakpoints())
     if isinstance(value, cutflow.FlowGraph):
         return all(e.capacity is None or isinstance(e.capacity, Fraction) for e in value.edges)
+    if isinstance(value, str):  # an edge list: every capacity exact
+        return all(re.fullmatch(r"\S+ \S+ (\d+/\d+|inf)", line) for line in value.splitlines())
     if isinstance(value, rlnc.TrialResult):
         return isinstance(value.success_rate, Fraction)
     return False
@@ -92,8 +95,9 @@ def _valid_params(draw):
     alpha=_RATIONALS,
     kind=_KINDS,
     history=st.tuples(_COUNTS, _COUNTS, _COUNTS, _COUNTS),
+    capacities=st.tuples(_RATIONALS, _RATIONALS, _RATIONALS, _RATIONALS, _RATIONALS),
 )
-def test_public_calls_raise_only_typed_errors(counts, rationals, params, beta2, alpha, kind, history):
+def test_public_calls_raise_only_typed_errors(counts, rationals, params, beta2, alpha, kind, history, capacities):
     # n is drawn as an offset from d1 + d2 so that more raw draws are valid systems
     k, d1, d2, extra = counts
     try:
@@ -125,6 +129,12 @@ def test_public_calls_raise_only_typed_errors(counts, rationals, params, beta2, 
 
     _check(pinned_history_graph)
     _check(lambda: rlnc.run_trial(params, alpha_sym, beta2_sym, failures, 0, n_cheap=n_cheap, max_subsets=4))
+    # a hand-built graph: parallel, terminal and inner edges, every capacity drawn raw
+    ends = (("S", "a"), ("a", "b"), ("a", "b"), ("b", "DC"), ("a", "DC"))
+    graph = cutflow.FlowGraph(tuple(cutflow.FlowEdge(*pair, c) for pair, c in zip(ends, capacities)))
+    for call in (cutflow.max_flow, cutflow.to_edge_list):
+        _check(call, graph)
+        _check(call, alpha)  # never a FlowGraph
 
 
 _FIELD_NAMES = st.one_of(
