@@ -41,6 +41,7 @@ from .errors import (
     InsufficientRepairBandwidthError,
     InvalidConstructionError,
     NonPositiveError,
+    RegenError,
     UsageError,
 )
 from .params import (
@@ -121,9 +122,22 @@ SINK = "DC"
 
 @dataclass(frozen=True)
 class FlowGraph:
-    """A repair history as a capacitated DAG from SOURCE to SINK: just its edges."""
+    """A repair history as a capacitated DAG from SOURCE to SINK: just its edges.
+
+    ``edges`` is read once, into a tuple (a tuple is kept as it is, not
+    copied), so every later pass over it sees the same edges, also when
+    an iterator was given; edges that cannot be iterated raise
+    InvalidConstructionError.
+    """
 
     edges: tuple[FlowEdge, ...]
+
+    def __post_init__(self) -> None:
+        try:
+            edges = tuple(self.edges)
+        except TypeError as exc:
+            raise _malformed(exc) from None
+        object.__setattr__(self, "edges", edges)
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -232,6 +246,11 @@ def _check_capacity(capacity: object) -> None:
         raise NonPositiveError(f"an edge capacity must be nonnegative, got {exact_str(capacity)}")
 
 
+def _malformed(exc: Exception) -> InvalidConstructionError:
+    """The error for graph edges that are not ``(tail, head, capacity)`` triples of hashable names."""
+    return InvalidConstructionError(f"graph edges must be (tail, head, capacity) triples of hashable names: {exc}")
+
+
 def max_flow(graph: FlowGraph) -> Fraction:
     """Exact max flow: scale capacities to integers, merge the terminals, run networkx.
 
@@ -247,14 +266,17 @@ def max_flow(graph: FlowGraph) -> Fraction:
 
     A graph carries few distinct capacity objects (a repair history three:
     alpha, beta1 and beta2), so a first pass over the edges collects them
-    by ``id``, beside the terminal merges; ``graph.edges`` keeps each one
-    alive for the whole call, so no id is reused.  Each distinct capacity
+    by ``id``, beside the terminal merges; the edges keep each one alive
+    for the whole call, so no id is reused.  Each distinct capacity
     is checked once and scaled once, by the one lcm of their
     denominators.  A second pass reads each edge's integer by identity
     and adds it into ``into[head][tail]``, the merged capacities grouped
-    by head; zero contributions are skipped.  An argument that is not a
-    :class:`FlowGraph`, or a capacity that is not an int, a Fraction or
-    None, raises UsageError; a negative capacity raises NonPositiveError.
+    by head; zero contributions are skipped.  :class:`FlowGraph` holds its
+    edges as a tuple, so both passes read the same edges.  An argument
+    that is not a :class:`FlowGraph`, or a capacity that is not an int, a
+    Fraction or None, raises UsageError; a negative capacity raises NonPositiveError;
+    an edge that is not a ``(tail, head, capacity)`` triple, or a node
+    name that cannot be hashed, raises InvalidConstructionError.
 
     The residual network Edmonds-Karp runs on is built here and passed as
     ``residual=``, so networkx copies no graph.  It holds only the
@@ -267,43 +289,48 @@ def max_flow(graph: FlowGraph) -> Fraction:
     themselves where a DiGraph would wrap them in views.
     """
     edges = _as_graph(graph).edges
-    side: dict[str, str] = {}
-    distinct: dict[int, Fraction] = {}
-    for tail, head, capacity in edges:
-        if capacity is not None:
-            distinct[id(capacity)] = capacity
-        elif tail == SOURCE and head not in (SOURCE, SINK):
-            side[head] = SOURCE
-        elif head == SINK and tail not in (SOURCE, SINK):
-            side.setdefault(tail, SINK)
-    for capacity in distinct.values():
-        _check_capacity(capacity)
-    scale = math.lcm(1, *(capacity.denominator for capacity in distinct.values()))
-    scaled = {key: capacity.numerator * (scale // capacity.denominator) for key, capacity in distinct.items()}
-    into: dict[str, dict[str, int]] = {}
-    finite_total = 0
-    unbounded: list[tuple[str, str]] = []
-    merged = side.get
-    for tail, head, capacity in edges:
-        if capacity is not None:
-            amount = scaled[id(capacity)]
-            if not amount:
+    try:
+        side: dict[str, str] = {}
+        distinct: dict[int, Fraction] = {}
+        for tail, head, capacity in edges:
+            if capacity is not None:
+                distinct[id(capacity)] = capacity
+            elif tail == SOURCE and head not in (SOURCE, SINK):
+                side[head] = SOURCE
+            elif head == SINK and tail not in (SOURCE, SINK):
+                side.setdefault(tail, SINK)
+        for capacity in distinct.values():
+            _check_capacity(capacity)
+        scale = math.lcm(1, *(capacity.denominator for capacity in distinct.values()))
+        scaled = {key: capacity.numerator * (scale // capacity.denominator) for key, capacity in distinct.items()}
+        into: dict[str, dict[str, int]] = {}
+        finite_total = 0
+        unbounded: list[tuple[str, str]] = []
+        merged = side.get
+        for tail, head, capacity in edges:
+            if capacity is not None:
+                amount = scaled[id(capacity)]
+                if not amount:
+                    continue
+                finite_total += amount
+            tail = merged(tail, tail)
+            head = merged(head, head)
+            if tail == head or head == SOURCE or tail == SINK:
                 continue
-            finite_total += amount
-        tail = merged(tail, tail)
-        head = merged(head, head)
-        if tail == head or head == SOURCE or tail == SINK:
-            continue
-        if capacity is None:
-            unbounded.append((tail, head))
-            continue
-        tails = into.get(head)
-        if tails is None:
-            into[head] = {tail: amount}
-        elif tail in tails:
-            tails[tail] += amount
-        else:
-            tails[tail] = amount
+            if capacity is None:
+                unbounded.append((tail, head))
+                continue
+            tails = into.get(head)
+            if tails is None:
+                into[head] = {tail: amount}
+            elif tail in tails:
+                tails[tail] += amount
+            else:
+                tails[tail] = amount
+    except RegenError:
+        raise
+    except (TypeError, ValueError) as exc:  # an edge that is not a triple, or an unhashable name
+        raise _malformed(exc) from None
     bound = 1 + finite_total  # exceeds any cut made of finite edges
     for tail, head in unbounded:
         into.setdefault(head, {})[tail] = bound
@@ -347,15 +374,21 @@ def max_flow(graph: FlowGraph) -> Fraction:
 def to_edge_list(graph: FlowGraph) -> str:
     """One line per edge: `tail head num/den`, with `inf` for unbounded edges.
 
-    The graph and its capacities are checked as :func:`max_flow` checks them.
+    The graph, its capacities and the shape of its edges are checked as
+    :func:`max_flow` checks them.
     """
     lines = []
-    for tail, head, capacity in _as_graph(graph).edges:
-        if capacity is None:
-            lines.append(f"{tail} {head} inf")
-        else:
-            _check_capacity(capacity)
-            lines.append(f"{tail} {head} {capacity.numerator}/{capacity.denominator}")
+    try:
+        for tail, head, capacity in _as_graph(graph).edges:
+            if capacity is None:
+                lines.append(f"{tail} {head} inf")
+            else:
+                _check_capacity(capacity)
+                lines.append(f"{tail} {head} {capacity.numerator}/{capacity.denominator}")
+    except RegenError:
+        raise
+    except (TypeError, ValueError) as exc:  # an edge that is not a triple
+        raise _malformed(exc) from None
     return "\n".join(lines)
 
 

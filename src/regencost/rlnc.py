@@ -4,11 +4,13 @@ Nodes store random linear combinations of the file symbols; only the
 coefficient vectors are tracked, since reconstruction is a rank question.
 The default field is GF(256) with reduction polynomial 0x11D, whose rows
 are ``bytes`` handled whole; its rank check eliminates all the rows still
-below the pivots at once, as one ``bytes`` block.  A prime field mode
-(mod 257) keeps int-tuple rows and per-element arithmetic to cross-check
-it.  Each field supplies the draw, ``combine`` and ``rank``; rows stay in
-the field's own form from draw to rank, and ``tuple(row)`` gives the int
-form of either.
+below the pivots at once, as one ``bytes`` block, and a repair is two
+block products: every helper's sent rows at once, then the newcomer's
+rows from what it received, each one int conversion per coefficient
+column.  A prime field mode (mod 257) keeps int-tuple rows and
+per-element arithmetic to cross-check it.  Each field supplies the draw,
+``product`` and ``rank``; rows stay in the field's own form from draw to
+rank, and ``tuple(row)`` gives the int form of either.
 
 Coefficients are drawn in bulk: ``encode_initial`` and each ``repair``
 make one ``field.draw`` for all of their coefficients.  For a
@@ -66,7 +68,10 @@ class ByteField:
     Rows are ``bytes``.  Multiplying a row by ``c`` is one
     ``row.translate(mul_tables[c])`` and adding two rows is one xor of
     their big-endian integers: the table-lookup region multiply of Plank
-    et al., "Screaming fast Galois field arithmetic" (FAST 2013).
+    et al., "Screaming fast Galois field arithmetic" (FAST 2013).  Both
+    ``product`` and ``rank`` apply it to a whole block of rows: the
+    multiples of one column are joined and xored in as one integer, so
+    the int conversions are counted per column, not per row.
     """
 
     order = 256
@@ -131,14 +136,24 @@ class ByteField:
             out += _or_bytes(high, low)
         return out
 
-    def combine(self, rows: Sequence[bytes], width: int, coeffs: Sequence[int]) -> bytes:
-        """The combination of rows with ``coeffs``, one coefficient per row."""
+    def product(self, sources: Sequence[Sequence[bytes]], width: int, coeffs: Sequence[int]) -> list[bytes]:
+        """Output row r is the combination of ``sources[r]``'s m rows with ``coeffs[r*m : (r+1)*m]``.
+
+        Every source list has the same m rows.  The output rows are one
+        row-major block, built a coefficient column at a time: column s is
+        ``coeffs[s::m]``, each output row's multiple of its source row s is
+        joined into one update of the whole block, and that is xored in as
+        one big-endian integer.  So the block costs one int conversion per
+        column and one back, whatever the number of output rows.
+        """
         tables = self.mul_tables
+        m = len(sources[0]) if sources else 0
         acc = 0
-        for row, coeff in zip(rows, coeffs):
-            if coeff:
-                acc ^= int.from_bytes(row.translate(tables[coeff]), "big")
-        return acc.to_bytes(width, "big")
+        for s in range(m):
+            update = b"".join([rows[s].translate(tables[c]) for rows, c in zip(sources, coeffs[s::m])])
+            acc ^= int.from_bytes(update, "big")
+        block = acc.to_bytes(len(sources) * width, "big")
+        return [block[r * width : (r + 1) * width] for r in range(len(sources))]
 
     def rank(self, rows: Sequence[Sequence[int]]) -> int:
         """Rank by Gaussian elimination of the whole remaining block at once.
@@ -211,12 +226,22 @@ class PrimeField:
         """``count`` calls of ``rng.randrange(order)``, one at a time: the reference draw."""
         return tuple(rng.randrange(self.order) for _ in range(count))
 
-    def combine(self, rows: Sequence[Sequence[int]], width: int, coeffs: Sequence[int]) -> tuple[int, ...]:
-        out = [0] * width
-        for row, coeff in zip(rows, coeffs):
-            if coeff:
-                out = [self.add(v, self.mul(coeff, r)) for v, r in zip(out, row)]
-        return tuple(out)
+    def product(
+        self, sources: Sequence[Sequence[Sequence[int]]], width: int, coeffs: Sequence[int]
+    ) -> list[tuple[int, ...]]:
+        """Output row r is the combination of ``sources[r]``'s m rows with ``coeffs[r*m : (r+1)*m]``.
+
+        Element by element, each output element reduced once.
+        """
+        m = len(sources[0]) if sources else 0
+        out = []
+        for r, rows in enumerate(sources):
+            row = [0] * width
+            for source, coeff in zip(rows, coeffs[r * m : (r + 1) * m]):
+                if coeff:
+                    row = [v + coeff * x for v, x in zip(row, source)]
+            out.append(tuple(v % self.order for v in row))
+        return out
 
     def rank(self, rows: Sequence[Sequence[int]]) -> int:
         try:
@@ -333,7 +358,8 @@ def repair(
 
     Cheap helpers send beta1_sym rows, expensive ones beta2_sym; the
     newcomer stores alpha_sym random combinations of everything received
-    and takes the failed node's id, and so its tier.  The event is checked
+    and takes the failed node's id, and so its tier.  Each of the two
+    steps is one ``field.product`` over all of its rows.  The event is checked
     by :func:`regencost.params.as_repair_event`, then the helpers' tiers by
     :func:`regencost.params.check_tiers` with the state's ``n_cheap``.
     """
@@ -345,22 +371,16 @@ def repair(
     beta2_sym = as_count(beta2_sym, "beta2_sym")
     rng = as_rng(rng)
     check_tiers(helpers_cheap, helpers_expensive, state.n_cheap)
-    sends = [(state.nodes[helper], beta1_sym) for helper in helpers_cheap]
-    sends += [(state.nodes[helper], beta2_sym) for helper in helpers_expensive]
-    field, width = state.field, state.file_len
-    n_received = sum(count for _, count in sends)
-    # one draw for every coefficient, in the order of the per-row calls: helpers' sends, then new rows
-    coeffs = field.draw(rng, sum(len(rows) * count for rows, count in sends) + state.alpha_sym * n_received)
-    start = 0
-    received: list[Sequence[int]] = []
-    for source_rows, count in sends:
-        for _ in range(count):
-            received.append(field.combine(source_rows, width, coeffs[start : start + len(source_rows)]))
-            start += len(source_rows)
-    new_rows = []
-    for _ in range(state.alpha_sym):
-        new_rows.append(field.combine(received, width, coeffs[start : start + n_received]))
-        start += n_received
+    # one source list per received row: each cheap helper's rows beta1_sym times, then each expensive one's beta2_sym
+    sends = [state.nodes[helper] for helper in helpers_cheap for _ in range(beta1_sym)]
+    sends += [state.nodes[helper] for helper in helpers_expensive for _ in range(beta2_sym)]
+    field, width, alpha_sym = state.field, state.file_len, state.alpha_sym
+    # one draw for every coefficient, row by row: each sent row combines its helper's alpha_sym
+    # rows, then each of the newcomer's alpha_sym rows combines the len(sends) rows received
+    count = alpha_sym * len(sends)
+    coeffs = field.draw(rng, 2 * count)
+    received = field.product(sends, width, coeffs[:count])
+    new_rows = field.product([received] * alpha_sym, width, coeffs[count:])
     nodes = list(state.nodes)
     nodes[failed_node] = tuple(new_rows)
     return replace(state, nodes=tuple(nodes))

@@ -510,13 +510,38 @@ def test_max_flow_reads_shared_and_separate_capacity_objects_alike(monkeypatch):
         (lambda: max_flow(None), UsageError),
         (lambda: max_flow(build_gstar(A_SMALL, 1, 1).edges), UsageError),
         (lambda: to_edge_list(None), UsageError),
+        # malformed edges and unhashable names raised bare ValueError and TypeError
+        (lambda: max_flow(FlowGraph(edges=(("S", "DC"),))), InvalidConstructionError),
+        (lambda: max_flow(FlowGraph(edges=(("S", "DC", F(1), 0),))), InvalidConstructionError),
+        (lambda: max_flow(FlowGraph(edges=(7,))), InvalidConstructionError),
+        (lambda: max_flow(FlowGraph(edges=None)), InvalidConstructionError),
+        (lambda: max_flow(_graph(("S", ["a"], F(1)), ("a", "DC", None))), InvalidConstructionError),
+        (lambda: max_flow(_graph(("S", "a", None), (["a"], "DC", None))), InvalidConstructionError),
+        (lambda: to_edge_list(FlowGraph(edges=(("S", "DC"),))), InvalidConstructionError),
+        (lambda: to_edge_list(FlowGraph(edges=(7,))), InvalidConstructionError),
+        (lambda: to_edge_list(FlowGraph(edges=None)), InvalidConstructionError),
     ],
     ids=["negative", "negative-int", "negative-edge-list", "float", "nan", "bool", "str", "list",
-         "float-edge-list", "none-graph", "edge-tuple-graph", "none-edge-list"],
+         "float-edge-list", "none-graph", "edge-tuple-graph", "none-edge-list", "pair-edge",
+         "four-edge", "int-edge", "none-edges", "list-name-finite", "list-name-unbounded",
+         "pair-edge-list", "int-edge-list", "none-edges-edge-list"],
 )
 def test_max_flow_and_edge_list_refuse_bad_graphs_with_typed_errors(call, error):
     with pytest.raises(error):
         call()
+
+
+def test_max_flow_reads_any_iterable_of_edges_once():
+    # an iterator of edges was used up by the first of max_flow's two passes, which returned 0
+    edges = build_gstar(A_SMALL, F(11, 20), F(3, 20)).edges
+    value = max_flow(FlowGraph(edges=edges))
+    assert value > 0
+    assert max_flow(FlowGraph(edges=iter(edges))) == max_flow(FlowGraph(edges=list(edges))) == value
+    assert max_flow(FlowGraph(edges=iter(_graph(("S", "a", F(1)), ("a", "DC", F(1))).edges))) == 1
+    assert to_edge_list(FlowGraph(edges=iter(edges))) == to_edge_list(FlowGraph(edges=edges))
+    graph = FlowGraph(edges=iter(edges))
+    assert graph.nodes == graph.nodes == FlowGraph(edges=edges).nodes
+    assert FlowGraph(edges=edges).edges is edges  # a tuple is kept, not copied
 
 
 def test_max_flow_takes_int_capacities_as_they_are():

@@ -432,24 +432,84 @@ def test_repair_replaces_only_the_failed_node():
 
 
 def test_repair_rows_match_per_element_recomputation():
-    # repair draws all its coefficients at once; its rows, and the rng it leaves
-    # behind, must be those of one randrange(order) per coefficient, in order
-    for field in (GF256, PrimeField(257)):
-        state = encode_initial(6, 5, 3, field, seed=4, n_cheap=3)
-        for seed in range(5):
-            rng = Random(seed)
-            rng.getrandbits(seed)  # start mid-stream, as a trial's repairs do
-            reference = Random()
-            reference.setstate(rng.getstate())
-            repaired = repair(state, 1, [0, 2], [4], beta1_sym=2, beta2_sym=1, rng=rng)
-            received = [
-                _scalar_combination(state.nodes[helper], 6, reference, field)
-                for helper, count in ((0, 2), (2, 2), (4, 1))
-                for _ in range(count)
-            ]
-            expected = tuple(_scalar_combination(received, 6, reference, field) for _ in range(state.alpha_sym))
-            assert tuple(tuple(row) for row in repaired.nodes[1]) == expected
-            assert rng.getstate() == reference.getstate()
+    # repair draws all its coefficients at once and forms its rows as two block products;
+    # its rows, and the rng it leaves behind, must be those of one randrange(order) per
+    # coefficient, in order, combined element by element
+    shapes = [
+        # file_len, n, alpha_sym, n_cheap, the event (failed, cheap, expensive), beta1_sym, beta2_sym
+        (6, 5, 3, 3, (1, [0, 2], [4]), 2, 1),
+        # the simulate workload's shape: 8 cheap helpers send 2 rows each and 6 expensive ones 1
+        (60, 15, 12, 9, (8, list(range(8)), list(range(9, 15))), 2, 1),
+    ]
+    for field in (GF256, PrimeField(257), PrimeField(MAX_PRIME_ORDER)):
+        for file_len, n, alpha_sym, n_cheap, (failed, cheap, expensive), beta1_sym, beta2_sym in shapes:
+            state = encode_initial(file_len, n, alpha_sym, field, seed=4, n_cheap=n_cheap)
+            sends = [(helper, beta1_sym) for helper in cheap] + [(helper, beta2_sym) for helper in expensive]
+            for seed in range(5):
+                rng = Random(seed)
+                rng.getrandbits(seed)  # start mid-stream, as a trial's repairs do
+                reference = Random()
+                reference.setstate(rng.getstate())
+                repaired = repair(state, failed, cheap, expensive, beta1_sym, beta2_sym, rng)
+                received = [
+                    _scalar_combination(state.nodes[helper], file_len, reference, field)
+                    for helper, count in sends
+                    for _ in range(count)
+                ]
+                expected = tuple(_scalar_combination(received, file_len, reference, field) for _ in range(alpha_sym))
+                assert tuple(tuple(row) for row in repaired.nodes[failed]) == expected
+                assert rng.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize(
+    "field", [GF256, PrimeField(257), PrimeField(MAX_PRIME_ORDER)], ids=["gf256", "p257", "p2^31-1"]
+)
+def test_product_matches_per_element_combinations(field):
+    # output row r combines sources[r]'s m rows with coeffs[r*m : (r+1)*m]
+    rng = Random(8)
+    width = 7
+    row_type = bytes if field is GF256 else tuple
+
+    def scalar(sources, coeffs):
+        m = len(sources[0]) if sources else 0
+        out = []
+        for r, rows in enumerate(sources):
+            row = [0] * width
+            for source, coeff in zip(rows, coeffs[r * m : (r + 1) * m]):
+                row = [field.add(v, field.mul(coeff, x)) for v, x in zip(row, source)]
+            out.append(tuple(row))
+        return out
+
+    def check(sources, coeffs):
+        out = field.product(sources, width, coeffs)
+        assert all(type(row) is row_type for row in out)
+        assert [tuple(row) for row in out] == scalar(sources, coeffs)
+        return out
+
+    rows = [field.draw(rng, width) for _ in range(5)]
+    separate = [rows[0:3], rows[1:4], rows[2:5], rows[0:5:2]]
+    coeffs = list(field.draw(rng, 4 * 3))
+    coeffs[3:6] = [0, 0, 0]  # an all-zero output row
+    coeffs[2::3] = [0] * 4  # an all-zero coefficient column
+    assert check(separate, coeffs)[1] == row_type(bytes(width))
+    check(separate, list(field.draw(rng, 4 * 3)))
+    check([rows] * 3, list(field.draw(rng, 3 * 5)))  # one shared source list, as the newcomer's rows use
+    check([rows], list(field.draw(rng, 5)))  # a single output row
+    check([rows[:1]], [1])
+    # zero source rows, as when nothing is received: all-zero rows of the full width
+    assert [tuple(row) for row in check([()] * 3, [])] == [(0,) * width] * 3
+    assert field.product([], width, []) == []
+
+
+@pytest.mark.parametrize("field", [GF256, PrimeField(257)], ids=["gf256", "p257"])
+def test_repair_with_nothing_received_stores_zero_rows(field):
+    state = encode_initial(6, 5, 3, field, seed=4, n_cheap=3)
+    rng = Random(2)
+    before = rng.getstate()
+    repaired = repair(state, 1, [0, 2], [4], beta1_sym=0, beta2_sym=0, rng=rng)
+    assert [tuple(row) for row in repaired.nodes[1]] == [(0,) * 6] * 3
+    assert all(type(row) is type(state.nodes[0][0]) for row in repaired.nodes[1])
+    assert rng.getstate() == before  # no coefficient to draw
 
 
 def test_encode_initial_rows_are_per_coefficient_draws():
