@@ -66,8 +66,13 @@ _FLOAT_MIN = sys.float_info.min
 
 
 def _decimal(value: Fraction) -> str:
+    """``value`` to 12 significant digits, as ``f"{float(value):.12g}"`` prints it in the float range.
+
+    ``numerator / denominator`` is the correctly rounded int quotient that
+    ``float(value)`` computes, without going through Fraction's own methods.
+    """
     try:
-        approx = float(value)
+        approx = value.numerator / value.denominator
     except OverflowError:
         pass
     else:
@@ -168,10 +173,14 @@ def _curve_rows(params: SystemParams, samples: int, breakpoints_only: bool) -> l
             raise ValueError(f"--samples must be at least 2, got {samples}")
         if samples > _MAX_SAMPLES:
             raise ValueError(f"--samples must be at most {_MAX_SAMPLES}, got {samples}")
-        low = curve.beta2_min
-        high = curve.segments[-1].beta2_lo * Fraction(3, 2)
-        step = (high - low) / (samples - 1)
-        samples_grid = [low + step * i for i in range(samples)]
+        # sample i is low + (high - low) * i / (samples - 1), high being 3/2 of the flat branch's start,
+        # built over one common denominator as Fraction(first + rise * i, den)
+        low, flat = curve.beta2_min, curve.segments[-1].beta2_lo
+        scaled_low = 2 * low.numerator * flat.denominator
+        first = scaled_low * (samples - 1)
+        rise = 3 * flat.numerator * low.denominator - scaled_low
+        den = 2 * low.denominator * flat.denominator * (samples - 1)
+        samples_grid = [Fraction(first + rise * i, den) for i in range(samples)]
         grid = [beta2 for beta2, _ in groupby(heapq.merge(samples_grid, breakpoints))]
     return [
         [cell for field in _CURVE_FIELDS for cell in _exact_cells(getattr(point, field))]

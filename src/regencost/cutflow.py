@@ -141,9 +141,17 @@ class FlowGraph:
 
     @property
     def nodes(self) -> tuple[str, ...]:
-        """SOURCE and SINK, then every other edge end in order of first appearance."""
-        ends = (name for edge in self.edges for name in (edge.tail, edge.head))
-        return tuple(dict.fromkeys((SOURCE, SINK, *ends)))
+        """SOURCE and SINK, then every other edge end in order of first appearance.
+
+        An edge that is not a ``(tail, head, capacity)`` triple, or a node
+        name that cannot be hashed, raises InvalidConstructionError, as in
+        :func:`max_flow` and :func:`to_edge_list`.
+        """
+        try:
+            ends = [name for tail, head, _ in self.edges for name in (tail, head)]
+            return tuple(dict.fromkeys((SOURCE, SINK, *ends)))
+        except (TypeError, ValueError) as exc:
+            raise _malformed(exc) from None
 
 
 class _GraphBuilder:
@@ -308,13 +316,14 @@ def max_flow(graph: FlowGraph) -> Fraction:
         unbounded: list[tuple[str, str]] = []
         merged = side.get
         for tail, head, capacity in edges:
+            # merged before a zero capacity is skipped, so every name is hashed, as FlowGraph.nodes hashes it
+            tail = merged(tail, tail)
+            head = merged(head, head)
             if capacity is not None:
                 amount = scaled[id(capacity)]
                 if not amount:
                     continue
                 finite_total += amount
-            tail = merged(tail, tail)
-            head = merged(head, head)
             if tail == head or head == SOURCE or tail == SINK:
                 continue
             if capacity is None:
@@ -374,21 +383,19 @@ def max_flow(graph: FlowGraph) -> Fraction:
 def to_edge_list(graph: FlowGraph) -> str:
     """One line per edge: `tail head num/den`, with `inf` for unbounded edges.
 
-    The graph, its capacities and the shape of its edges are checked as
-    :func:`max_flow` checks them.
+    The graph, its capacities, the shape of its edges and its node names
+    are checked as :func:`max_flow` checks them: reading ``graph.nodes``
+    refuses an edge that is not a triple and a name that cannot be hashed.
     """
+    graph = _as_graph(graph)
+    graph.nodes  # read for its check of the edges' shape and names
     lines = []
-    try:
-        for tail, head, capacity in _as_graph(graph).edges:
-            if capacity is None:
-                lines.append(f"{tail} {head} inf")
-            else:
-                _check_capacity(capacity)
-                lines.append(f"{tail} {head} {capacity.numerator}/{capacity.denominator}")
-    except RegenError:
-        raise
-    except (TypeError, ValueError) as exc:  # an edge that is not a triple
-        raise _malformed(exc) from None
+    for tail, head, capacity in graph.edges:
+        if capacity is None:
+            lines.append(f"{tail} {head} inf")
+        else:
+            _check_capacity(capacity)
+            lines.append(f"{tail} {head} {capacity.numerator}/{capacity.denominator}")
     return "\n".join(lines)
 
 

@@ -67,7 +67,7 @@ def exact_str(value: Fraction | int) -> str:
 def as_nonnegative(value: RationalLike, what: str) -> Fraction:
     """:func:`as_fraction`, refusing values below zero."""
     v = as_fraction(value, what)
-    if v < 0:
+    if v.numerator < 0:  # a Fraction's sign is its numerator's, and this skips Fraction's comparison
         raise NonPositiveError(f"{what} must be nonnegative, got {exact_str(v)}")
     return v
 

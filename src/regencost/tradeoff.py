@@ -236,16 +236,22 @@ def _extremal_ratio(params: SystemParams, kind: str, per_beta2: Fraction, symmet
 
     The weights are what a repair moves or pays per unit of beta2 (two-tier)
     and per unit of beta (symmetric); the scenario fixes the quotient beta2 / beta.
+    Each closed form is one int numerator over one int denominator, from the
+    integer parts of kprime = kn/kd, per_beta2 = pn/pd and symmetric = sn/sd,
+    made a Fraction once.
     """
-    k, d, d1, d2, kp = params.k, params.d, params.d1, params.d2, params.kprime
+    k, d, d1, d2 = params.k, params.d, params.d1, params.d2
+    kn, kd = params.kprime.numerator, params.kprime.denominator
+    pn, pd = per_beta2.numerator, per_beta2.denominator
+    sn, sd = symmetric.numerator, symmetric.denominator
     if params.scenario is Scenario.A:
         if kind == "msr":
-            return _div(per_beta2 * (d - k + 1), (d1 * kp + d2 - k * kp + kp) * symmetric)
-        return _div(per_beta2 * (2 * d - k + 1), (2 * d1 * kp + 2 * d2 - k * kp + kp) * symmetric)
+            return _div(pn * (d - k + 1) * kd * sd, pd * ((d1 - k + 1) * kn + d2 * kd) * sn)
+        return _div(pn * (2 * d - k + 1) * kd * sd, pd * ((2 * d1 - k + 1) * kn + 2 * d2 * kd) * sn)
     if kind == "msr":
-        return _div(per_beta2, symmetric)
+        return _div(pn * sd, pd * sn)
     base = 2 * k * d - k * k + k
-    return _div(per_beta2 * base, symmetric * (base + (d1 * d1 + d1) * (kp - 1)))
+    return _div(pn * base * kd * sd, pd * sn * (base * kd + (d1 * d1 + d1) * (kn - kd)))
 
 
 def cost_threshold(params: SystemParams, kind: str) -> Fraction:
@@ -262,7 +268,7 @@ def cost_threshold(params: SystemParams, kind: str) -> Fraction:
         return Fraction(2 * d1, 2 * d1 - k + 1)
     if kind == "msr":
         raise NotApplicableError("no cost threshold at the minimum-storage point when d1 < k")
-    return _div(Fraction(2 * k * d - k * k + k - d1 * d1 - d1), Fraction(d2 * (d1 + 1)))
+    return _div(2 * k * d - k * k + k - d1 * d1 - d1, d2 * (d1 + 1))
 
 
 def cost_ratio_limit(params: SystemParams, kind: str) -> Fraction:
@@ -280,10 +286,11 @@ def cost_ratio_limit(params: SystemParams, kind: str) -> Fraction:
     return _div(c1 * d1 * (2 * k * d - k * k + k), base_cost * (d1 * d1 + d1))
 
 
-def _div(num: Fraction, den: Fraction) -> Fraction:
+def _div(num: Fraction | int, den: Fraction | int) -> Fraction:
+    """``Fraction(num, den)``; a zero ``den`` raises DegenerateConfigurationError."""
     if den == 0:
         raise DegenerateConfigurationError("denominator vanishes for these parameters")
-    return Fraction(num) / den
+    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -324,30 +331,42 @@ class TradeoffCurve:
         Each beta2's segment is found by bisection over the breakpoints.  The
         first point of each visit to a segment comes from ``operating_point``,
         as does a beta2 below the curve, which ``alpha_min`` refuses; the rest
-        are read off the segment's line.  ``beta2s`` must be a non-string
-        iterable (UsageError otherwise).
+        are read off the segment's line.  A read-off field is built as one
+        ``Fraction(numerator, denominator)`` from the integer parts of beta2
+        = p/q and of the curve's constants (the segment's intercept and
+        slope, kprime, gamma and cost per unit beta2), so it is normalised
+        once rather than once per Fraction operation; the values are the
+        same.  ``beta2s`` must be a non-string iterable (UsageError otherwise).
         """
         if isinstance(beta2s, str) or not isinstance(beta2s, Iterable):
             raise UsageError(f"beta2s must be an iterable of beta2 values, got {type(beta2s).__name__}")
         params, segments, starts = self.params, self.segments, self.breakpoints()
-        kprime, gamma_per_beta2 = params.kprime, params.gamma_per_beta2
-        cost_per_beta2 = params.cost_per_beta2
-        visited = None
+        kprime, gamma_per_beta2, cost_per_beta2 = params.kprime, params.gamma_per_beta2, params.cost_per_beta2
+        kprime_num, kprime_den = kprime.numerator, kprime.denominator
+        gamma_num, gamma_den = gamma_per_beta2.numerator, gamma_per_beta2.denominator
+        cost_num, cost_den = cost_per_beta2.numerator, cost_per_beta2.denominator
+        visited = line = None
         result = []
         for beta2 in beta2s:
             b2 = as_nonnegative(beta2, "beta2")
             index = bisect_right(starts, b2) - 1
             if index == visited:
+                p, q = b2.numerator, b2.denominator
+                top, drop, bottom = line
                 point = CodePoint(
-                    alpha=segments[index].alpha_at(b2),
-                    beta1=kprime * b2,
+                    alpha=Fraction(top * q - drop * p, bottom * q),
+                    beta1=Fraction(kprime_num * p, kprime_den * q),
                     beta2=b2,
-                    gamma=gamma_per_beta2 * b2,
-                    cost=cost_per_beta2 * b2,
+                    gamma=Fraction(gamma_num * p, gamma_den * q),
+                    cost=Fraction(cost_num * p, cost_den * q),
                 )
             else:
-                visited = index
                 point = operating_point(params, b2)
+                intercept, slope = segments[index].intercept, segments[index].slope
+                # alpha = intercept - slope * p/q = (top * q - drop * p) / (bottom * q)
+                top = intercept.numerator * slope.denominator
+                drop = slope.numerator * intercept.denominator
+                visited, line = index, (top, drop, intercept.denominator * slope.denominator)
             result.append(point)
         return result
 

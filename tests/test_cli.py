@@ -2,6 +2,7 @@ import csv
 import hashlib
 import argparse
 import json
+import random
 import re
 import sys
 from decimal import Decimal
@@ -199,6 +200,24 @@ def test_curve_matches_frozen_digest(flags, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# kprime, M and the two costs each with a denominator other than 1, and all different
+RATIONAL_CURVE_FLAGS = ["--kprime", "13/4", "--M", "7/3", "--c1", "2/3", "--c2", "7/4"]
+
+
+@pytest.mark.parametrize(
+    "flags,digest",
+    [
+        (A_WIDE_FLAGS[:-2], "bae0ed2f1173a9be328966be135c113f346e052f232ad35c13df9e0ce34c5bcd"),
+        (B_WIDE_FLAGS[:-2], "a424c9b71db66cd1595b5908a57e0cb0d33032b6a519bdb72ac27ea26cbc38b1"),
+    ],
+    ids=["A", "B"],
+)
+def test_curve_with_rational_parameters_matches_frozen_digest(flags, digest, capsys):
+    code, out, _ = run_cli(["curve", *flags, *RATIONAL_CURVE_FLAGS], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # a 12-digit mantissa without trailing zeros, as .12g prints it
 _BIG_DECIMAL = re.compile(r"[1-9](\.[0-9]{0,10}[1-9])?e\+[0-9]{3}")
 
@@ -245,6 +264,32 @@ def test_big_decimals_match_the_float_style(capsys):
 def test_tiny_decimals_keep_twelve_digits(value, decimal):
     # below float's normal range a float keeps fewer digits, or none: round the exact value instead
     assert cli._decimal(value) == decimal
+
+
+def _decimal_cases():
+    rng = random.Random(7)
+    cases = [F(0), F(1, 3), F(2**53 + 1), F(sys.float_info.min), -F(sys.float_info.min), F(sys.float_info.max)]
+    # beyond the float range on either side, and just past its largest value
+    cases += [F(1, 10**320), F(1, 3 * 10**320), F(-1, 10**400), F(10**400), F(-123456789012345 * 10**400, 7)]
+    cases.append(F(int(sys.float_info.max)) + 2**970)
+    for _ in range(300):
+        sign = rng.choice((1, -1))
+        numerator = sign * rng.randrange(1, 2 ** rng.randrange(1, 300))
+        cases.append(F(numerator * 10 ** rng.randrange(0, 60), rng.randrange(1, 2 ** rng.randrange(1, 300))))
+    return cases
+
+
+def test_decimal_prints_what_the_float_of_the_value_prints():
+    for value in _decimal_cases():
+        try:
+            approx = float(value)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                value.numerator / value.denominator
+            continue
+        assert value.numerator / value.denominator == approx
+        if abs(approx) >= sys.float_info.min or not value:
+            assert cli._decimal(value) == f"{approx:.12g}", value
 
 
 def test_tiny_decimals_in_the_point_csv(capsys):
@@ -313,6 +358,23 @@ def test_ratio_flat_at_the_msr_threshold(capsys):
     assert all(row[3] == "1" for row in rows)
     assert rows[0][1] == "1"  # rho at kprime=1
     assert F(rows[1][1]) == F(55, 49)
+
+
+@pytest.mark.parametrize(
+    "flags,kind,digest",
+    [
+        (A_WIDE_FLAGS[:-2], "msr", "d8ac1ea046572ad94b3c56d46fc19c2a18b3df93d7a91e4bd61dbeefe3bf6445"),
+        (A_WIDE_FLAGS[:-2], "mbr", "e6280c7df0e43ba0a505556392b5eb6f0741fc5df80ed2715c6aab7eef4bda63"),
+        (B_WIDE_FLAGS[:-2], "msr", "25e2a6e20c61b296afbb8ea2aa79da31a0ea7f278964fcf1a6ce16a3cf357938"),
+        (B_WIDE_FLAGS[:-2], "mbr", "380831c6ec1355d22b0e3cbf39a8500afc1ba09e4221166cc6fd9cac6c028bfd"),
+    ],
+    ids=["A-msr", "A-mbr", "B-msr", "B-mbr"],
+)
+def test_ratio_matches_frozen_digest(flags, kind, digest, capsys):
+    argv = ["ratio", "--kind", kind, *flags, "--M", "7/3", "--cost-ratio", "3/2", "--cost-ratio", "7/4"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_ratio_defaults_to_configured_costs(capsys):

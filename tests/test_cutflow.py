@@ -531,6 +531,35 @@ def test_max_flow_and_edge_list_refuse_bad_graphs_with_typed_errors(call, error)
         call()
 
 
+def test_plain_tuple_edges_have_nodes():
+    # FlowGraph.nodes read edge.tail and edge.head, which a plain tuple does not have
+    graph = FlowGraph(edges=(("S", "a", F(1)), ("a", "DC", None)))
+    assert graph.nodes == ("S", "DC", "a")
+    assert max_flow(graph) == 1
+    assert to_edge_list(graph) == "S a 1/1\na DC inf"
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        (("S", ["a"], F(1)), ("a", "DC", None)),
+        (("S", "a", None), (["a"], "DC", None)),
+        # max_flow skipped a zero-capacity edge before it hashed the edge's names
+        (("S", ["a"], F(0)), ("S", "DC", F(1))),
+        (("S", "DC"),),
+        (("S", "DC", F(1), 0),),
+        (7,),
+    ],
+    ids=["list-name-finite", "list-name-unbounded", "list-name-zero", "pair-edge", "four-edge", "int-edge"],
+)
+def test_max_flow_edge_list_and_nodes_refuse_the_same_graphs(edges):
+    # to_edge_list printed a list name that max_flow refused, and nodes raised a bare error
+    graph = FlowGraph(edges=edges)
+    for read in (max_flow, to_edge_list, lambda graph: graph.nodes):
+        with pytest.raises(InvalidConstructionError):
+            read(graph)
+
+
 def test_max_flow_reads_any_iterable_of_edges_once():
     # an iterator of edges was used up by the first of max_flow's two passes, which returned 0
     edges = build_gstar(A_SMALL, F(11, 20), F(3, 20)).edges

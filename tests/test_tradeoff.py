@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 from fractions import Fraction
 from random import Random
@@ -379,8 +380,9 @@ def test_cost_ratio_values():
 
 
 def test_cost_ratio_matches_cost_quotient():
-    for base in SWEEP + RATIONAL:
-        params = replace(base, cost_cheap=2, cost_expensive=5)
+    # whole costs, then costs whose denominators differ from each other and from kprime's
+    for base, (c1, c2) in itertools.product(SWEEP + RATIONAL, ((2, 5), (F(2, 3), F(7, 4)))):
+        params = replace(base, cost_cheap=c1, cost_expensive=c2)
         sym = msr_point(params.file_size, params.k, params.d)
         sym_cost = (params.cost_cheap * params.d1 + params.cost_expensive * params.d2) * sym.beta2
         assert cost_ratio(params, "msr") == gmsr_point(params).cost / sym_cost
