@@ -107,7 +107,10 @@ def _add_param_args(parser: argparse.ArgumentParser) -> None:
 def _params_from_args(args: argparse.Namespace) -> SystemParams:
     values: dict[str, object] = {}
     if args.config is not None:
-        raw = json.loads(Path(args.config).read_text())
+        try:
+            raw = json.loads(Path(args.config).read_text())
+        except RecursionError:
+            raise ValueError(f"config {args.config} nests too deeply") from None
         if not isinstance(raw, dict):
             raise ValueError(f"config {args.config} must hold a JSON object")
         for key, value in raw.items():
@@ -494,11 +497,9 @@ def cmd_paper_figures(args: argparse.Namespace) -> int:
     eta_rows = []
     for kind in ("msr", "mbr"):
         for ratio in (frac(2), frac(4)):
-            base = replace(config_a, cost_cheap=frac(1), cost_expensive=ratio)
-            for kprime in _FIGURE_KPRIMES:
-                eta = tradeoff.cost_ratio(replace(base, kprime=frac(kprime)), kind)
-                eta_rows.append([kind, exact_str(ratio), str(kprime), *_exact_cells(eta)])
-            limit = tradeoff.cost_ratio_limit(base, kind)
+            for kprime, _, _, eta, eta_decimal, _ in _ratio_rows(config_a, kind, _FIGURE_KPRIMES, (ratio,)):
+                eta_rows.append([kind, exact_str(ratio), kprime, eta, eta_decimal])
+            limit = tradeoff.cost_ratio_limit(replace(config_a, cost_cheap=frac(1), cost_expensive=ratio), kind)
             eta_rows.append([kind, exact_str(ratio), "inf", *_exact_cells(limit)])
     write(
         "cost_ratio_vs_kprime_a.csv",

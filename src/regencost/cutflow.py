@@ -48,10 +48,11 @@ from .params import (
     RationalLike,
     SystemParams,
     as_count,
+    as_instance,
     as_node_ids,
     as_nonnegative,
     as_repair_event,
-    as_rng,
+    as_values,
     exact_str,
     repair_history,
 )
@@ -239,13 +240,6 @@ class _ResidualNetwork(nx.DiGraph):
         return self._succ[node]
 
 
-def _as_graph(graph: FlowGraph) -> FlowGraph:
-    """``graph`` itself when it is a :class:`FlowGraph`; anything else raises UsageError."""
-    if not isinstance(graph, FlowGraph):
-        raise UsageError(f"graph must be a FlowGraph, got {type(graph).__name__}")
-    return graph
-
-
 def _check_capacity(capacity: object) -> None:
     """A finite capacity is a nonnegative int or Fraction: UsageError or NonPositiveError otherwise."""
     if isinstance(capacity, bool) or not isinstance(capacity, (int, Fraction)):
@@ -296,7 +290,7 @@ def max_flow(graph: FlowGraph) -> Fraction:
     DiGraph, and :class:`_ResidualNetwork` hands Edmonds-Karp those dicts
     themselves where a DiGraph would wrap them in views.
     """
-    edges = _as_graph(graph).edges
+    edges = as_instance(graph, FlowGraph, "graph").edges
     try:
         side: dict[str, str] = {}
         distinct: dict[int, Fraction] = {}
@@ -381,13 +375,14 @@ def max_flow(graph: FlowGraph) -> Fraction:
 
 
 def to_edge_list(graph: FlowGraph) -> str:
-    """One line per edge: `tail head num/den`, with `inf` for unbounded edges.
+    """One line per edge: `tail head num/den`, with `inf` for unbounded edges; num and den are
+    printed in full at any size, past the interpreter's int-to-str digit limit too.
 
     The graph, its capacities, the shape of its edges and its node names
     are checked as :func:`max_flow` checks them: reading ``graph.nodes``
     refuses an edge that is not a triple and a name that cannot be hashed.
     """
-    graph = _as_graph(graph)
+    graph = as_instance(graph, FlowGraph, "graph")
     graph.nodes  # read for its check of the edges' shape and names
     lines = []
     for tail, head, capacity in graph.edges:
@@ -395,7 +390,7 @@ def to_edge_list(graph: FlowGraph) -> str:
             lines.append(f"{tail} {head} inf")
         else:
             _check_capacity(capacity)
-            lines.append(f"{tail} {head} {capacity.numerator}/{capacity.denominator}")
+            lines.append(f"{tail} {head} {exact_str(capacity.numerator)}/{exact_str(capacity.denominator)}")
     return "\n".join(lines)
 
 
@@ -451,9 +446,7 @@ def verify_closed_form(
     if beta2_grid is None:
         grid = default_beta2_grid(params)
     else:
-        if isinstance(beta2_grid, str) or not isinstance(beta2_grid, Iterable):
-            raise UsageError(f"beta2_grid must be an iterable of beta2 values, got {type(beta2_grid).__name__}")
-        grid = sorted({as_nonnegative(b2, "beta2") for b2 in beta2_grid})
+        grid = sorted({as_nonnegative(b2, "beta2") for b2 in as_values(beta2_grid, "beta2_grid", "beta2 values")})
         if not grid:
             raise NonPositiveError("beta2_grid must hold at least one beta2 value")
     reports = []
@@ -500,10 +493,8 @@ def verification_sweep(
     """
     max_k = as_count(max_k, "max_k", minimum=1)
     max_d = as_count(max_d, "max_d", minimum=1)
-    # a str would be split into one-character kprimes
-    if isinstance(kprimes, str) or not isinstance(kprimes, Iterable):
-        raise UsageError(f"kprimes must be an iterable of download ratios, got {type(kprimes).__name__}")
-    kprimes = tuple(kprimes)  # every (k, d1, d2) reads them again, and an iterator would be spent after the first
+    # a tuple: every (k, d1, d2) reads them again, and an iterator would be spent after the first
+    kprimes = as_values(kprimes, "kprimes", "download ratios")
     if not kprimes:
         raise NonPositiveError("kprimes must hold at least one download ratio")
     return (
@@ -589,7 +580,7 @@ def random_history_graph(
     """
     a = as_nonnegative(alpha, "alpha")
     b2 = as_nonnegative(beta2, "beta2")
-    n_cheap = as_rng(rng).randint(params.d1, params.n - params.d2)
+    n_cheap = as_instance(rng, Random, "rng").randint(params.d1, params.n - params.d2)
     # a list, so that every event is drawn before the readers
     events = list(repair_history(params, n_cheap, failures, rng))
     return history_graph(params, a, b2, events, rng.sample(range(params.n), params.k))

@@ -20,10 +20,11 @@ from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from random import Random
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, TypeVar, Union
 
 from .errors import (
     InsufficientHelpersError,
+    InvalidChoiceError,
     InvalidConstructionError,
     InvalidCostOrderError,
     InvalidDegreeError,
@@ -35,6 +36,7 @@ from .errors import (
 )
 
 RationalLike = Union[int, str, Fraction]
+T = TypeVar("T")
 
 
 def as_fraction(value: RationalLike, what: str = "value") -> Fraction:
@@ -81,11 +83,28 @@ def as_count(value: int, what: str, minimum: int = 0) -> int:
     return value
 
 
-def as_rng(rng: Random) -> Random:
-    """``rng`` itself when it is a ``random.Random``, subclasses included; anything else raises UsageError."""
-    if not isinstance(rng, Random):
-        raise UsageError(f"rng must be a random.Random, got {type(rng).__name__}")
-    return rng
+def as_instance(value: T, kind: type | tuple[type, ...], what: str) -> T:
+    """``value`` itself when it is an instance of ``kind`` (a class or a tuple of them), subclasses
+    included; anything else raises UsageError, naming the classes and the type given."""
+    if not isinstance(value, kind):
+        names = " or ".join(cls.__name__ for cls in (kind if isinstance(kind, tuple) else (kind,)))
+        raise UsageError(f"{what} must be a {names}, got {type(value).__name__}")
+    return value
+
+
+def as_choice(value: str, choices: tuple[str, ...], what: str) -> str:
+    """``value`` itself when it is one of ``choices``; anything else raises InvalidChoiceError."""
+    if value not in choices:
+        raise InvalidChoiceError(f"{what} must be one of {choices}, got {value!r}")
+    return value
+
+
+def as_values(values: Iterable[T], what: str, noun: str) -> tuple[T, ...]:
+    """``values`` read once into a tuple; a str, whose characters would be read as values, or a
+    non-iterable raises UsageError."""
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        raise UsageError(f"{what} must be an iterable of {noun}, got {type(values).__name__}")
+    return tuple(values)
 
 
 class Scenario(Enum):
@@ -196,7 +215,7 @@ def repair_history(
     """
     n_cheap = as_count(n_cheap, "n_cheap")
     failures = as_count(failures, "failures")
-    rng = as_rng(rng)
+    rng = as_instance(rng, Random, "rng")
     n, d1, d2 = params.n, params.d1, params.d2
     if not d1 <= n_cheap <= n - d2:
         raise InvalidConstructionError(

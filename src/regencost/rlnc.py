@@ -36,10 +36,11 @@ from .errors import (
 )
 from .params import (
     SystemParams,
+    as_choice,
     as_count,
+    as_instance,
     as_node_ids,
     as_repair_event,
-    as_rng,
     check_tiers,
     exact_str,
     repair_history,
@@ -276,20 +277,6 @@ Field = Union[ByteField, PrimeField]
 GF256 = ByteField()
 
 
-def _as_field(field: Field) -> Field:
-    """``field`` itself when it is a ``ByteField`` or ``PrimeField``; anything else raises UsageError."""
-    if not isinstance(field, (ByteField, PrimeField)):
-        raise UsageError(f"field must be a ByteField or PrimeField, got {type(field).__name__}")
-    return field
-
-
-def _as_state(state: StorageState) -> StorageState:
-    """``state`` itself when it is a ``StorageState``; anything else raises UsageError."""
-    if not isinstance(state, StorageState):
-        raise UsageError(f"state must be a StorageState, got {type(state).__name__}")
-    return state
-
-
 def make_field(name: str) -> Field:
     """Field from a CLI name: "gf256" or "p<prime>" (e.g. "p257")."""
     if not isinstance(name, str):
@@ -305,7 +292,7 @@ def make_field(name: str) -> Field:
 
 def matrix_rank(rows: Sequence[Sequence[int]], field: Field) -> int:
     """Rank by Gaussian elimination over the given field; ragged rows or entries outside it raise UsageError."""
-    return _as_field(field).rank(rows)
+    return as_instance(field, (ByteField, PrimeField), "field").rank(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +322,7 @@ def encode_initial(
     file_len = as_count(file_len, "file_len", minimum=1)
     n = as_count(n, "n", minimum=1)
     alpha_sym = as_count(alpha_sym, "alpha_sym")
-    field = _as_field(field)
+    field = as_instance(field, (ByteField, PrimeField), "field")
     n_cheap = as_count(n_cheap, "n_cheap")
     if n_cheap > n:
         raise InvalidConstructionError(f"n_cheap={exact_str(n_cheap)} exceeds n={n}")
@@ -363,13 +350,13 @@ def repair(
     by :func:`regencost.params.as_repair_event`, then the helpers' tiers by
     :func:`regencost.params.check_tiers` with the state's ``n_cheap``.
     """
-    state = _as_state(state)
+    state = as_instance(state, StorageState, "state")
     failed_node, helpers_cheap, helpers_expensive = as_repair_event(
         failed_node, helpers_cheap, helpers_expensive, len(state.nodes), "repair"
     )
     beta1_sym = as_count(beta1_sym, "beta1_sym")
     beta2_sym = as_count(beta2_sym, "beta2_sym")
-    rng = as_rng(rng)
+    rng = as_instance(rng, Random, "rng")
     check_tiers(helpers_cheap, helpers_expensive, state.n_cheap)
     # one source list per received row: each cheap helper's rows beta1_sym times, then each expensive one's beta2_sym
     sends = [state.nodes[helper] for helper in helpers_cheap for _ in range(beta1_sym)]
@@ -395,7 +382,7 @@ def _as_seed(seed: int) -> int:
 
 def can_reconstruct(state: StorageState, node_ids: Sequence[int]) -> bool:
     """True when the stacked rows of the chosen nodes span the whole file."""
-    state = _as_state(state)
+    state = as_instance(state, StorageState, "state")
     rows: list[Sequence[int]] = []
     for node in as_node_ids(node_ids, len(state.nodes), "node_ids"):
         rows.extend(state.nodes[node])
@@ -444,12 +431,12 @@ def run_trial(
 
     ``helper_mode`` "uniform" samples helpers uniformly from the live
     tier; "worst-case" prefers the most recently replaced nodes, imitating
-    the adversarial history of the flow-graph analysis.  When the number
+    the adversarial history of the flow-graph analysis; any other value
+    raises InvalidChoiceError before any draw.  When the number
     of k-subsets exceeds ``max_subsets``, a seeded sample is checked
     instead of all of them.
     """
-    if helper_mode not in ("uniform", "worst-case"):
-        raise InvalidChoiceError(f"helper_mode must be 'uniform' or 'worst-case', got {helper_mode!r}")
+    as_choice(helper_mode, ("uniform", "worst-case"), "helper_mode")
     if params.kprime.denominator != 1:
         raise NonIntegerDownloadError(
             f"simulation needs an integer kprime, got {exact_str(params.kprime)}"

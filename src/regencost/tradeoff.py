@@ -31,7 +31,6 @@ from .errors import (
     DegenerateConfigurationError,
     IndexOutOfRangeError,
     InsufficientRepairBandwidthError,
-    InvalidChoiceError,
     InvalidDegreeError,
     NonPositiveError,
     NotApplicableError,
@@ -42,21 +41,17 @@ from .params import (
     RationalLike,
     Scenario,
     SystemParams,
+    as_choice,
     as_count,
     as_fraction,
     as_nonnegative,
+    as_values,
     exact_str,
     repair_bandwidth,
     total_cost,
 )
 
 _POINT_KINDS = ("msr", "mbr")
-
-
-def _check_kind(kind: str) -> str:
-    if kind not in _POINT_KINDS:
-        raise InvalidChoiceError(f"kind must be one of {_POINT_KINDS}, got {kind!r}")
-    return kind
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +200,9 @@ def grc_limit_point(params: SystemParams, kind: str) -> CodePoint:
     Only Scenario A has a finite limit: repair degenerates to d1 cheap
     helpers, so the point is the single-tier MSR or MBR point at d = d1,
     with beta2 = 0 and only cheap downloads paid for.  kind is "gmsr" or
-    "gmbr".
+    "gmbr" (InvalidChoiceError otherwise).
     """
-    if kind not in ("gmsr", "gmbr"):
-        raise InvalidChoiceError(f"kind must be 'gmsr' or 'gmbr', got {kind!r}")
+    as_choice(kind, ("gmsr", "gmbr"), "kind")
     if params.scenario is not Scenario.A:
         raise NotApplicableError("the kprime -> infinity limit is finite only when d1 >= k")
     single_tier = msr_point if kind == "gmsr" else mbr_point
@@ -222,13 +216,14 @@ def grc_limit_point(params: SystemParams, kind: str) -> CodePoint:
 
 def bandwidth_ratio(params: SystemParams, kind: str) -> Fraction:
     """gamma(two-tier extremal) / gamma(symmetric extremal), same d and kind: cost_ratio at unit costs."""
-    return _extremal_ratio(params, _check_kind(kind), params.gamma_per_beta2, params.d)
+    return _extremal_ratio(params, as_choice(kind, _POINT_KINDS, "kind"), params.gamma_per_beta2, params.d)
 
 
 def cost_ratio(params: SystemParams, kind: str) -> Fraction:
     """Download cost of the two-tier extremal relative to the symmetric one."""
+    kind = as_choice(kind, _POINT_KINDS, "kind")
     c1, c2 = params.cost_cheap, params.cost_expensive
-    return _extremal_ratio(params, _check_kind(kind), params.cost_per_beta2, c1 * params.d1 + c2 * params.d2)
+    return _extremal_ratio(params, kind, params.cost_per_beta2, c1 * params.d1 + c2 * params.d2)
 
 
 def _extremal_ratio(params: SystemParams, kind: str, per_beta2: Fraction, symmetric: Fraction | int) -> Fraction:
@@ -260,7 +255,7 @@ def cost_threshold(params: SystemParams, kind: str) -> Fraction:
     Scenario B at the minimum-storage point has a kprime-independent cost
     premium, so no threshold exists there.
     """
-    _check_kind(kind)
+    as_choice(kind, _POINT_KINDS, "kind")
     k, d, d1, d2 = params.k, params.d, params.d1, params.d2
     if params.scenario is Scenario.A:
         if kind == "msr":
@@ -273,7 +268,7 @@ def cost_threshold(params: SystemParams, kind: str) -> Fraction:
 
 def cost_ratio_limit(params: SystemParams, kind: str) -> Fraction:
     """kprime -> infinity limit of cost_ratio (cheap tier carries everything)."""
-    _check_kind(kind)
+    as_choice(kind, _POINT_KINDS, "kind")
     k, d, d1, d2 = params.k, params.d, params.d1, params.d2
     c1, c2 = params.cost_cheap, params.cost_expensive
     base_cost = c1 * d1 + c2 * d2
@@ -336,10 +331,9 @@ class TradeoffCurve:
         = p/q and of the curve's constants (the segment's intercept and
         slope, kprime, gamma and cost per unit beta2), so it is normalised
         once rather than once per Fraction operation; the values are the
-        same.  ``beta2s`` must be a non-string iterable (UsageError otherwise).
+        same.  ``beta2s`` is a non-string iterable, read once (UsageError otherwise).
         """
-        if isinstance(beta2s, str) or not isinstance(beta2s, Iterable):
-            raise UsageError(f"beta2s must be an iterable of beta2 values, got {type(beta2s).__name__}")
+        beta2s = as_values(beta2s, "beta2s", "beta2 values")
         params, segments, starts = self.params, self.segments, self.breakpoints()
         kprime, gamma_per_beta2, cost_per_beta2 = params.kprime, params.gamma_per_beta2, params.cost_per_beta2
         kprime_num, kprime_den = kprime.numerator, kprime.denominator

@@ -139,6 +139,15 @@ def test_point_config_must_be_an_object(tmp_path, capsys):
     assert code == 2
 
 
+def test_a_config_nested_past_the_recursion_limit_is_a_usage_error(tmp_path, capsys):
+    # json.loads raises RecursionError on deep nesting: a bad config, not a traceback and exit 1
+    config = tmp_path / "config.json"
+    config.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = run_cli(["curve", "--config", str(config)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: Usage: config {config} nests too deeply\n"
+
+
 # ---------------------------------------------------------------------------
 # curve
 
@@ -317,6 +326,12 @@ def test_exact_values_beyond_the_int_string_limit(k, M, capsys):
     assert unlimited == (code, out, err)
     alpha = {row[0]: row[1] for row in parse_csv(out)[1]}["alpha"]
     assert len(alpha) > limit and alpha == expected_alpha
+
+
+def test_graph_prints_capacities_beyond_the_int_string_limit(capsys):
+    code, out, err = run_cli(["graph", "--k", "2", "--d1", "2", "--d2", "1", "--beta2", "1e5000"], capsys)
+    assert code == 0 and err == ""
+    assert f"x0.out x1.in 1{'0' * 5000}/1" in out.splitlines()
 
 
 @pytest.mark.parametrize(

@@ -607,6 +607,17 @@ def test_edge_list_rendering():
     assert "x0.out x1.in 3/10" in lines
 
 
+def test_edge_list_prints_capacities_beyond_the_int_string_limit():
+    # str() of an int over 4300 digits raises by default, and so does int() of such a string,
+    # so the huge capacities are compared as strings
+    lines = to_edge_list(build_gstar(make_params(2, 2, 1), F(1, 2), 10**5000)).splitlines()
+    huge = "1" + "0" * 5000 + "/1"
+    capacities = [line.rsplit(" ", 1)[1] for line in lines]
+    assert set(capacities) == {"inf", "1/2", huge}
+    # kprime is 1, so every helper edge, cheap or expensive, carries beta2
+    assert all(capacity == huge for line, capacity in zip(lines, capacities) if ".out x" in line)
+
+
 # ---------------------------------------------------------------------------
 # agreement reports
 

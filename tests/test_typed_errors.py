@@ -14,6 +14,7 @@ from conftest import fractions_between
 from regencost import (
     IndexOutOfRangeError,
     InsufficientHelpersError,
+    InvalidChoiceError,
     InvalidConstructionError,
     InvalidDegreeError,
     NonIntegerDownloadError,
@@ -232,6 +233,52 @@ def test_rlnc_inputs_raise_only_typed_errors(name, order, seed, rows, field, any
         assert all(len(row) == len(ints[0]) for row in ints), rows
         assert all(isinstance(v, int) and 0 <= v < field.order for row in ints for v in row), rows
         assert 0 <= rank <= len(ints)
+
+
+_STATE = rlnc.encode_initial(8, 4, 2, rlnc.GF256, 0, _TRIAL_N_CHEAP)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: repair_history(_TRIAL_PARAMS, 3, 1, None), UsageError, "rng must be a Random, got NoneType"),
+        (lambda: cutflow.random_history_graph(_TRIAL_PARAMS, 4, 1, 7, 1), UsageError, "rng must be a Random, got int"),
+        (lambda: rlnc.repair(_STATE, 0, [1, 2], [3], 2, 1, None), UsageError, "rng must be a Random, got NoneType"),
+        (lambda: cutflow.max_flow(None), UsageError, "graph must be a FlowGraph, got NoneType"),
+        (lambda: cutflow.to_edge_list([]), UsageError, "graph must be a FlowGraph, got list"),
+        (lambda: rlnc.matrix_rank([[1]], None), UsageError, "field must be a ByteField or PrimeField, got NoneType"),
+        (lambda: rlnc.encode_initial(8, 4, 2, "gf256", 0, 3), UsageError,
+         "field must be a ByteField or PrimeField, got str"),
+        (lambda: rlnc.repair(None, 0, [1, 2], [3], 2, 1, Random(0)), UsageError,
+         "state must be a StorageState, got NoneType"),
+        (lambda: rlnc.can_reconstruct(None, (0, 1)), UsageError, "state must be a StorageState, got NoneType"),
+        (lambda: tradeoff.bandwidth_ratio(_P, "gmsr"), InvalidChoiceError,
+         "kind must be one of ('msr', 'mbr'), got 'gmsr'"),
+        (lambda: tradeoff.cost_ratio(_P, "MSR"), InvalidChoiceError, "kind must be one of ('msr', 'mbr'), got 'MSR'"),
+        (lambda: tradeoff.cost_threshold(_P, None), InvalidChoiceError, "kind must be one of ('msr', 'mbr'), got None"),
+        (lambda: tradeoff.cost_ratio_limit(_P, ""), InvalidChoiceError, "kind must be one of ('msr', 'mbr'), got ''"),
+        (lambda: tradeoff.grc_limit_point(_P, "msr"), InvalidChoiceError,
+         "kind must be one of ('gmsr', 'gmbr'), got 'msr'"),
+        (lambda: rlnc.run_trial(_TRIAL_PARAMS, 2, 1, 1, 0, helper_mode="worst"), InvalidChoiceError,
+         "helper_mode must be one of ('uniform', 'worst-case'), got 'worst'"),
+        (lambda: tradeoff.tradeoff_curve(_P).points(5), UsageError,
+         "beta2s must be an iterable of beta2 values, got int"),
+        (lambda: cutflow.verify_closed_form(_P, "12"), UsageError,
+         "beta2_grid must be an iterable of beta2 values, got str"),
+        (lambda: cutflow.verification_sweep(kprimes=None), UsageError,
+         "kprimes must be an iterable of download ratios, got NoneType"),
+    ],
+    ids=["repair_history-rng", "random_history_graph-rng", "repair-rng", "max_flow-graph", "to_edge_list-graph",
+         "matrix_rank-field", "encode_initial-field", "repair-state", "can_reconstruct-state",
+         "bandwidth_ratio-kind", "cost_ratio-kind", "cost_threshold-kind", "cost_ratio_limit-kind",
+         "grc_limit_point-kind", "run_trial-helper_mode", "points-beta2s", "verify_closed_form-beta2_grid",
+         "verification_sweep-kprimes"],
+)
+def test_each_argument_rule_has_one_wording(call, error, message):
+    # an instance, a choice and a list of values are each checked by one guard in params, in one wording
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_negative_beta2_is_refused_in_one_wording():
