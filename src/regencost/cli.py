@@ -104,19 +104,38 @@ def _add_param_args(parser: argparse.ArgumentParser) -> None:
         group.add_argument(f"--{flag}", type=kind, help=help_text)
 
 
+def _config_pairs(path: Path) -> list[tuple[str, object]]:
+    """The key/value pairs of the JSON object in ``path``, in file order, a repeated key each time.
+
+    Objects nested in it are read as dicts.  ``json.loads`` finishes an object
+    after the objects inside it, so the last pairs it hands the hook are the
+    outermost object's.
+    """
+    read: list[list[tuple[str, object]]] = []
+
+    def keep(pairs: list[tuple[str, object]]) -> dict[str, object]:
+        read.append(pairs)
+        return dict(pairs)
+
+    try:
+        outermost = json.loads(path.read_text(), object_pairs_hook=keep)
+    except RecursionError:
+        raise ValueError(f"config {path} nests too deeply") from None
+    if not isinstance(outermost, dict):
+        raise ValueError(f"config {path} must hold a JSON object")
+    return read[-1]
+
+
 def _params_from_args(args: argparse.Namespace) -> SystemParams:
     values: dict[str, object] = {}
     if args.config is not None:
-        try:
-            raw = json.loads(Path(args.config).read_text())
-        except RecursionError:
-            raise ValueError(f"config {args.config} nests too deeply") from None
-        if not isinstance(raw, dict):
-            raise ValueError(f"config {args.config} must hold a JSON object")
-        for key, value in raw.items():
+        for key, value in _config_pairs(Path(args.config)):
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
-            values[_CONFIG_KEYS[key]] = value
+            field = _CONFIG_KEYS[key]
+            if field in values:
+                raise ValueError(f"config {args.config} sets {field} twice")
+            values[field] = value
     for flag, field, _, _ in _PARAM_FLAGS:
         value = getattr(args, flag)
         if value is not None:

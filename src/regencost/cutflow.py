@@ -459,8 +459,10 @@ def verify_closed_form(
             oracle: Fraction | None = alpha_min_oracle(params, b2)
         except InsufficientRepairBandwidthError:
             oracle = None
-        # with no closed form, probe above every term: the graph itself must certify infeasibility
-        alpha = closed if closed is not None else sum(cut_terms(params, b2)) + 1
+        # with no closed form, probe one above a newcomer's whole download (cut term 0, the largest),
+        # more than any storage node can pass on: the graph itself must certify infeasibility, at an
+        # alpha the oracle route did not give
+        alpha = closed if closed is not None else params.gamma_per_beta2 * b2 + 1
         flow = max_flow(build_gstar(params, alpha, b2))
         M = params.file_size
         flow_ok = flow == cut_capacity_sum(params, alpha, b2) and (flow == M if closed is not None else flow < M)

@@ -14,9 +14,10 @@ and tail, checking the scenario once, and ``alpha_min``, ``beta2_min``,
 all read the pieces from it.  Each extremal point is derived once: the
 two-tier points are the operating points at the curve's two ends, and the
 kprime -> infinity limit points are the single-tier points at d = d1.
-The bandwidth ratio is the cost ratio at unit costs, one per-scenario
-formula for both.  The threshold and the cost-ratio limit keep their own
-per-scenario closed forms.
+The comparisons against symmetric repair read one (scenario, kind) table,
+``_comparison``: the bandwidth ratio is the cost ratio at unit costs, the
+cost-ratio limit is that ratio's leading-coefficient quotient in kprime,
+and the break-even cost threshold is a column of the table.
 """
 
 from __future__ import annotations
@@ -229,56 +230,58 @@ def cost_ratio(params: SystemParams, kind: str) -> Fraction:
 def _extremal_ratio(params: SystemParams, kind: str, per_beta2: Fraction, symmetric: Fraction | int) -> Fraction:
     """``per_beta2 * beta2`` of the two-tier extremal over ``symmetric * beta`` of the symmetric one.
 
-    The weights are what a repair moves or pays per unit of beta2 (two-tier)
-    and per unit of beta (symmetric); the scenario fixes the quotient beta2 / beta.
-    Each closed form is one int numerator over one int denominator, from the
-    integer parts of kprime = kn/kd, per_beta2 = pn/pd and symmetric = sn/sd,
-    made a Fraction once.
+    The weights are what a repair moves or pays per unit of beta2 (two-tier) and of beta
+    (symmetric).  One int numerator over one int denominator, from the integer parts of
+    kprime = kn/kd, per_beta2 = pn/pd and symmetric = sn/sd, and the comparison row.
     """
-    k, d, d1, d2 = params.k, params.d, params.d1, params.d2
+    P, q1, q0, _ = _comparison(params, kind)
     kn, kd = params.kprime.numerator, params.kprime.denominator
     pn, pd = per_beta2.numerator, per_beta2.denominator
     sn, sd = symmetric.numerator, symmetric.denominator
+    return _div(pn * P * kd * sd, pd * sn * (q1 * kn + q0 * kd))
+
+
+def _comparison(params: SystemParams, kind: str) -> tuple[int, int, int, tuple[int, int] | None]:
+    """``(P, q1, q0, threshold)``: the two-tier ``kind`` extremal against the symmetric one at the same d.
+
+    beta2 (two-tier) over beta (symmetric) is P / (q1 * kprime + q0).  ``threshold``, the break-even
+    c2/c1 as (num, den), is None on B's msr row, which has no threshold and no finite limit.
+    """
+    k, d, d1, d2 = params.k, params.d, params.d1, params.d2
     if params.scenario is Scenario.A:
-        if kind == "msr":
-            return _div(pn * (d - k + 1) * kd * sd, pd * ((d1 - k + 1) * kn + d2 * kd) * sn)
-        return _div(pn * (2 * d - k + 1) * kd * sd, pd * ((2 * d1 - k + 1) * kn + 2 * d2 * kd) * sn)
-    if kind == "msr":
-        return _div(pn * sd, pd * sn)
-    base = 2 * k * d - k * k + k
-    return _div(pn * base * kd * sd, pd * sn * (base * kd + (d1 * d1 + d1) * (kn - kd)))
+        return {
+            "msr": (d - k + 1, d1 - k + 1, d2, (d1, d1 - k + 1)),
+            "mbr": (2 * d - k + 1, 2 * d1 - k + 1, 2 * d2, (2 * d1, 2 * d1 - k + 1)),
+        }[kind]
+    base, tail = 2 * k * d - k * k + k, d1 * d1 + d1
+    return {
+        "msr": (1, 0, 1, None),
+        "mbr": (base, tail, base - tail, (base - tail, d2 * (d1 + 1))),
+    }[kind]
 
 
 def cost_threshold(params: SystemParams, kind: str) -> Fraction:
     """Least cost_expensive/cost_cheap at which two-tier repair never costs more.
 
-    Scenario B at the minimum-storage point has a kprime-independent cost
-    premium, so no threshold exists there.
+    Scenario B's minimum-storage point has none: its cost ratio there,
+    (c1*d1*kprime + c2*d2) / (c1*d1 + c2*d2), grows with kprime when c1*d1 > 0.
     """
-    as_choice(kind, _POINT_KINDS, "kind")
-    k, d, d1, d2 = params.k, params.d, params.d1, params.d2
-    if params.scenario is Scenario.A:
-        if kind == "msr":
-            return Fraction(d1, d1 - k + 1)
-        return Fraction(2 * d1, 2 * d1 - k + 1)
-    if kind == "msr":
+    *_, threshold = _comparison(params, as_choice(kind, _POINT_KINDS, "kind"))
+    if threshold is None:
         raise NotApplicableError("no cost threshold at the minimum-storage point when d1 < k")
-    return _div(2 * k * d - k * k + k - d1 * d1 - d1, d2 * (d1 + 1))
+    return _div(*threshold)
 
 
 def cost_ratio_limit(params: SystemParams, kind: str) -> Fraction:
-    """kprime -> infinity limit of cost_ratio (cheap tier carries everything)."""
-    as_choice(kind, _POINT_KINDS, "kind")
-    k, d, d1, d2 = params.k, params.d, params.d1, params.d2
-    c1, c2 = params.cost_cheap, params.cost_expensive
-    base_cost = c1 * d1 + c2 * d2
-    if params.scenario is Scenario.A:
-        if kind == "msr":
-            return _div(c1 * d1 * (d - k + 1), (d1 - k + 1) * base_cost)
-        return _div(c1 * d1 * (2 * d - k + 1), (2 * d1 - k + 1) * base_cost)
-    if kind == "msr":
+    """kprime -> infinity limit of cost_ratio (cheap tier carries everything).
+
+    It is the quotient of cost_ratio's leading kprime coefficients, c1*d1*P over (c1*d1 + c2*d2)*q1.
+    """
+    P, q1, _, threshold = _comparison(params, as_choice(kind, _POINT_KINDS, "kind"))
+    if threshold is None:
         raise NotApplicableError("no finite minimum-storage limit when d1 < k")
-    return _div(c1 * d1 * (2 * k * d - k * k + k), base_cost * (d1 * d1 + d1))
+    c1d1 = params.cost_cheap * params.d1
+    return _div(c1d1 * P, (c1d1 + params.cost_expensive * params.d2) * q1)
 
 
 def _div(num: Fraction | int, den: Fraction | int) -> Fraction:
@@ -299,9 +302,6 @@ class TradeoffSegment:
     beta2_lo: Fraction
     intercept: Fraction
     slope: Fraction
-
-    def alpha_at(self, beta2: Fraction) -> Fraction:
-        return self.intercept - self.slope * beta2
 
 
 @dataclass(frozen=True)

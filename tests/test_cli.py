@@ -119,6 +119,32 @@ def test_point_config_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown config key" in err
 
 
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"k": 2, "d1": 2, "d2": 1, "c1": 1, "C1": 3, "c2": 5}', "cost_cheap"),
+        ('{"k": 2, "d1": 2, "d2": 1, "M": 2, "file_size": 3}', "file_size"),
+        ('{"k": 2, "d1": 2, "d2": 1, "d2": 1}', "d2"),
+    ],
+    ids=["c1-and-C1", "M-and-file_size", "d2-repeated"],
+)
+def test_a_config_that_sets_a_field_twice_is_a_usage_error(text, field, tmp_path, capsys):
+    # two spellings of one field, or one key repeated: neither value may win silently
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    code, out, err = run_cli(["point", "--kind", "gmbr", "--config", str(config)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: Usage: config {config} sets {field} twice\n"
+
+
+def test_a_config_with_an_object_value_reports_it_as_read(tmp_path, capsys):
+    # the objects nested in a config are still dicts, in the messages that name them
+    config = tmp_path / "config.json"
+    config.write_text('{"k": {"a": 1}, "d1": 2, "d2": 1}')
+    code, _, err = run_cli(["point", "--kind", "gmbr", "--config", str(config)], capsys)
+    assert (code, err) == (2, "error: InvalidDegree: k must be an integer, got {'a': 1}\n")
+
+
 @pytest.mark.parametrize("d1", [None, "x", [2], 2.5, "2"])
 def test_point_config_with_a_bad_helper_count_is_a_typed_error(d1, tmp_path, capsys):
     # without n, n is derived from d1 + d2; a d1 that is not an int must still reach SystemParams

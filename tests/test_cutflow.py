@@ -669,6 +669,17 @@ def test_verify_closed_form_certifies_infeasibility(monkeypatch):
     assert not report.agree and report.flow_ok and not report.ok
 
 
+def test_verify_closed_form_probes_infeasibility_without_the_cut_oracle(monkeypatch):
+    # the flow route's probe alpha must not come from cut_terms: with the oracle's terms
+    # zeroed, the probe still exceeds what any storage node can pass on, so no alpha edge binds
+    params = make_params(2, 2, 1, kprime=2, file_size=100)
+    b2 = F(10)  # below beta2_min = 25/2
+    monkeypatch.setattr(cutflow, "cut_terms", lambda params, beta2: [F(0)] * params.k)
+    (report,) = verify_closed_form(params, [b2])
+    assert report.alpha_closed is None
+    assert report.maxflow_at_alpha == max_flow(build_gstar(params, 10**6, b2))
+
+
 def test_verify_closed_form_default_grid_samples():
     for params in SAMPLE_CONFIGS:
         assert all(report.ok for report in verify_closed_form(params))

@@ -451,6 +451,73 @@ def test_kind_strings_are_validated():
     assert isinstance(info.value, ValueError)  # callers catching ValueError still catch it
 
 
+def _printed_quotient(num, den):
+    if den == 0:
+        raise DegenerateConfigurationError("denominator vanishes")
+    return F(num) / den
+
+
+def _printed_ratio(params, kind, per_beta2, symmetric):
+    # the per-scenario closed forms of gamma (or cost) two-tier over symmetric, as printed
+    k, d, d1, d2, kp = params.k, params.d, params.d1, params.d2, params.kprime
+    if d1 >= k:
+        if kind == "msr":
+            return _printed_quotient(per_beta2 * (d - k + 1), symmetric * ((d1 - k + 1) * kp + d2))
+        return _printed_quotient(per_beta2 * (2 * d - k + 1), symmetric * ((2 * d1 - k + 1) * kp + 2 * d2))
+    if kind == "msr":
+        return _printed_quotient(per_beta2, symmetric)
+    base = 2 * k * d - k * k + k
+    return _printed_quotient(per_beta2 * base, symmetric * (base + (d1 * d1 + d1) * (kp - 1)))
+
+
+def _printed_threshold(params, kind):
+    k, d, d1, d2 = params.k, params.d, params.d1, params.d2
+    if d1 >= k:
+        if kind == "msr":
+            return _printed_quotient(d1, d1 - k + 1)
+        return _printed_quotient(2 * d1, 2 * d1 - k + 1)
+    if kind == "msr":
+        raise NotApplicableError("no threshold")
+    return _printed_quotient(2 * k * d - k * k + k - d1 * d1 - d1, d2 * (d1 + 1))
+
+
+def _printed_limit(params, kind):
+    k, d, d1, d2 = params.k, params.d, params.d1, params.d2
+    c1, c2 = params.cost_cheap, params.cost_expensive
+    base_cost = c1 * d1 + c2 * d2
+    if d1 >= k:
+        if kind == "msr":
+            return _printed_quotient(c1 * d1 * (d - k + 1), (d1 - k + 1) * base_cost)
+        return _printed_quotient(c1 * d1 * (2 * d - k + 1), (2 * d1 - k + 1) * base_cost)
+    if kind == "msr":
+        raise NotApplicableError("no finite limit")
+    return _printed_quotient(c1 * d1 * (2 * k * d - k * k + k), base_cost * (d1 * d1 + d1))
+
+
+def _outcome(function, *args):
+    try:
+        return function(*args)
+    except (DegenerateConfigurationError, NotApplicableError) as exc:
+        return type(exc)
+
+
+def test_comparisons_match_the_printed_closed_forms():
+    # every ratio, threshold and limit against its own per-scenario formula, with the
+    # empty-tier rows (d2 = 0, d1 = 0) and zero costs where denominators vanish
+    costs = ((1, 1), (1, 2), (0, 0), (0, 3), (F(2, 3), F(7, 4)))
+    for base, (c1, c2), kind in itertools.product(SWEEP + RATIONAL, costs, ("msr", "mbr")):
+        params = replace(base, cost_cheap=c1, cost_expensive=c2)
+        symmetric_cost = params.cost_cheap * params.d1 + params.cost_expensive * params.d2
+        expected = (
+            _outcome(_printed_ratio, params, kind, params.gamma_per_beta2, params.d),
+            _outcome(_printed_ratio, params, kind, params.cost_per_beta2, symmetric_cost),
+            _outcome(_printed_threshold, params, kind),
+            _outcome(_printed_limit, params, kind),
+        )
+        functions = (bandwidth_ratio, cost_ratio, cost_threshold, cost_ratio_limit)
+        assert tuple(_outcome(function, params, kind) for function in functions) == expected, (params, kind)
+
+
 # ---------------------------------------------------------------------------
 # assembled curve
 
@@ -470,7 +537,8 @@ def test_curve_segments_tile_the_feasible_range():
         for left, right in zip(curve.segments, curve.segments[1:]):
             assert left.beta2_lo < right.beta2_lo
             # continuity across the shared breakpoint
-            assert left.alpha_at(right.beta2_lo) == right.alpha_at(right.beta2_lo)
+            x = right.beta2_lo
+            assert left.intercept - left.slope * x == right.intercept - right.slope * x
 
 
 def test_curve_matches_alpha_min_pointwise():
