@@ -7,17 +7,16 @@ minimum-bandwidth, single-tier and two-tier), and the bandwidth/cost
 ratios comparing two-tier repair against symmetric repair at the same
 total helper count d = d1 + d2.
 
-Scenario A (d1 >= k) and Scenario B (d1 < k) have different branch
-formulas.  They live in one place: ``_pieces`` yields each piece's start
-and tail, checking the scenario once, and ``alpha_min``, ``beta2_min``,
-``tradeoff_curve``, ``gmsr_point`` and the public ``breakpoint_a/_b1/_b2``
-all read the pieces from it.  Each extremal point is derived once: the
-two-tier points are the operating points at the curve's two ends, and the
-kprime -> infinity limit points are the single-tier points at d = d1.
-The comparisons against symmetric repair read one (scenario, kind) table,
-``_comparison``: the bandwidth ratio is the cost ratio at unit costs, the
-cost-ratio limit is that ratio's leading-coefficient quotient in kprime,
-and the break-even cost threshold is a column of the table.
+Each closed form is stated once.  ``_piece(params, i)`` gives piece i of the
+curve as integers (c0, c1, t0, t1): it starts at beta2 = 2M / (c0 + c1*kprime),
+and on it alpha = (2M - (t0 + t1*kprime) * beta2) / (2 (k - i)).  Only it tells
+Scenario A (d1 >= k) from Scenario B (d1 < k); the curve, its breakpoints and
+its two ends (the two-tier extremal points, piece 0 and piece k-1) read it.
+``_single_tier`` gives the symmetric points' beta = 2M/S, and the kprime ->
+infinity limit points are those points at d = d1.  The comparisons read S and
+an end's c0 and c1: beta2 over beta is S / (c0 + c1*kprime), the cost-ratio
+limit is its quotient of leading coefficients in kprime, and the break-even
+cost threshold is d1*c0 / (d2*c1).
 """
 
 from __future__ import annotations
@@ -25,8 +24,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import islice
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import (
     DegenerateConfigurationError,
@@ -61,19 +59,16 @@ _POINT_KINDS = ("msr", "mbr")
 
 def msr_point(file_size: RationalLike, k: int, d: int) -> CodePoint:
     """Minimum-storage point for symmetric repair: alpha = M/k, gamma = M*d/(k*(d-k+1))."""
-    M, k, d = _checked_single_tier(file_size, k, d)
-    gamma = M * d / (k * (d - k + 1))
-    return CodePoint(alpha=M / k, beta1=gamma / d, beta2=gamma / d, gamma=gamma)
+    return _symmetric_point("msr", file_size, k, d)
 
 
 def mbr_point(file_size: RationalLike, k: int, d: int) -> CodePoint:
     """Minimum-bandwidth point for symmetric repair: alpha = gamma = 2*M*d/(k*(2*d-k+1))."""
-    M, k, d = _checked_single_tier(file_size, k, d)
-    gamma = 2 * M * d / (k * (2 * d - k + 1))
-    return CodePoint(alpha=gamma, beta1=gamma / d, beta2=gamma / d, gamma=gamma)
+    return _symmetric_point("mbr", file_size, k, d)
 
 
-def _checked_single_tier(file_size: RationalLike, k: int, d: int) -> tuple[Fraction, int, int]:
+def _symmetric_point(kind: str, file_size: RationalLike, k: int, d: int) -> CodePoint:
+    """The single-tier ``kind`` point: beta = 2M/S and gamma = d*beta; alpha is M/k (msr) or gamma (mbr)."""
     M = as_fraction(file_size, "file_size")
     if M <= 0:
         raise NonPositiveError(f"file_size must be positive, got {exact_str(M)}")
@@ -81,55 +76,70 @@ def _checked_single_tier(file_size: RationalLike, k: int, d: int) -> tuple[Fract
     d = as_count(d, "d")
     if d < k:
         raise InvalidDegreeError(f"d must reach k, got d={exact_str(d)}, k={exact_str(k)}")
-    return M, k, d
+    beta = Fraction(2 * M.numerator, M.denominator * _single_tier(kind, k, d))
+    gamma = d * beta
+    return CodePoint(alpha=M / k if kind == "msr" else gamma, beta1=beta, beta2=beta, gamma=gamma)
+
+
+def _single_tier(kind: str, k: int, d: int) -> int:
+    """S of the symmetric ``kind`` point with k and d, whose uniform download is beta = 2M/S."""
+    return 2 * k * (d - k + 1) if kind == "msr" else k * (2 * d - k + 1)
 
 
 # ---------------------------------------------------------------------------
 # the pieces of the storage curve and their starts (breakpoints)
 
 
-def _pieces(params: SystemParams) -> Iterator[tuple[Fraction, Fraction]]:
-    """``(start, tail2)`` of each piece of the curve, piece 0 first, each computed when asked for.
+def _piece(params: SystemParams, i: int) -> tuple[int, int, int, int]:
+    """``(c0, c1, t0, t1)``, all integers, of piece i of the curve, for i in 0..k-1.
 
-    Piece i, for i in 0..k-1, is alpha = (2M - tail2 * beta2) / (2 (k - i))
-    from its start up to the start of piece i - 1; piece 0 is the flat branch
-    and piece k-1 starts at beta2_min.  tail2 is twice the total capacity (per
-    unit beta2) of the branches already saturated.  Scenario B's pieces are
-    the k - d1 upper-range ones followed by the d1 lower-range ones.
+    Piece i starts at beta2 = 2M / (c0 + c1*kprime) and runs up to the start
+    of piece i - 1; on it alpha = (2M - (t0 + t1*kprime) * beta2) / (2 (k - i)).
+    Piece 0 is the flat branch and piece k-1 starts at beta2_min.  t0 +
+    t1*kprime is twice the total capacity (per unit beta2) of the branches
+    already saturated.  Scenario B's pieces are the u = k - d1 upper-range ones,
+    which do not depend on kprime, then the d1 lower-range ones, j = i - u.
     """
-    M2, k, d, d1, d2, kp = 2 * params.file_size, params.k, params.d, params.d1, params.d2, params.kprime
+    k, d, d1, d2 = params.k, params.d, params.d1, params.d2
     if params.scenario is Scenario.A:
-        base = 2 * k * (d1 * kp + d2 - k * kp)
-        for i in range(k):
-            # int factors multiplied first: one Fraction multiply and one add each
-            yield M2 / (base + kp * ((i + 1) * (2 * k - i))), kp * (i * (2 * (d1 - k) + i + 1)) + 2 * i * d2
-        return
-    upper = k - d1
-    for i in range(upper):
-        yield M2 / (2 * k * (d - k) + (i + 1) * (2 * k - i)), Fraction(i * (2 * d - 2 * k + i + 1))
-    base = 2 * k * d - k * k - d1 * d1 - d1 + k + 2 * d1 * kp
-    tail2_upper = (upper - 1) * (2 * d - 2 * k + upper)
-    for i in range(d1):
-        yield M2 / (base + i * kp * (2 * d1 - i - 1)), tail2_upper + (i + 1) * (2 * d2 + i * kp)
+        return 2 * k * d2, 2 * k * (d1 - k) + (i + 1) * (2 * k - i), 2 * i * d2, i * (2 * (d1 - k) + i + 1)
+    u = k - d1
+    if i < u:
+        return 2 * k * (d - k) + (i + 1) * (2 * k - i), 0, i * (2 * d - 2 * k + i + 1), 0
+    j = i - u
+    c0, t0 = 2 * k * d - k * k + k - d1 * d1 - d1, (u - 1) * (2 * d - 2 * k + u) + 2 * (j + 1) * d2
+    return c0, 2 * d1 + j * (2 * d1 - j - 1), t0, j * (j + 1)
+
+
+def _start(params: SystemParams, i: int) -> Fraction:
+    """Where piece i starts, 2M / (c0 + c1*kprime), as one Fraction from integer parts."""
+    c0, c1, _, _ = _piece(params, i)
+    M, kp = params.file_size, params.kprime
+    return Fraction(2 * M.numerator * kp.denominator, M.denominator * (c0 * kp.denominator + c1 * kp.numerator))
+
+
+def _tail(params: SystemParams, i: int) -> Fraction:
+    """t0 + t1*kprime of piece i, as one Fraction from integer parts."""
+    _, _, t0, t1 = _piece(params, i)
+    return Fraction(t0 * params.kprime.denominator + t1 * params.kprime.numerator, params.kprime.denominator)
 
 
 def breakpoint_a(params: SystemParams, i: int) -> Fraction:
     """Scenario A segment boundary i, for i in 0..k-1; boundary 0 starts the flat branch."""
     _require(params, Scenario.A)
-    return next(islice(_pieces(params), _branch(i, params.k - 1), None))[0]
+    return _start(params, _branch(i, params.k - 1))
 
 
 def breakpoint_b1(params: SystemParams, i: int) -> Fraction:
     """Scenario B upper-range boundary i (kprime-independent), for i in 0..k-d1-1."""
     _require(params, Scenario.B)
-    return next(islice(_pieces(params), _branch(i, params.k - params.d1 - 1), None))[0]
+    return _start(params, _branch(i, params.k - params.d1 - 1))
 
 
 def breakpoint_b2(params: SystemParams, i: int) -> Fraction:
     """Scenario B lower-range boundary i, for i in 0..d1-1."""
     _require(params, Scenario.B)
-    d1 = params.d1
-    return next(islice(_pieces(params), params.k - d1 + _branch(i, d1 - 1), None))[0]
+    return _start(params, params.k - params.d1 + _branch(i, params.d1 - 1))
 
 
 def _branch(i: int, last: int) -> int:
@@ -156,9 +166,10 @@ def alpha_min(params: SystemParams, beta2: RationalLike) -> Fraction:
     """Least per-node storage meeting the reconstruction bound at this beta2."""
     b2 = as_nonnegative(beta2, "beta2")
     M, k = params.file_size, params.k
-    for i, (start, tail2) in enumerate(_pieces(params)):
+    for i in range(k):
+        start = _start(params, i)
         if b2 >= start:
-            return (2 * M - tail2 * b2) / (2 * (k - i))
+            return (2 * M - _tail(params, i) * b2) / (2 * (k - i))
     raise InsufficientRepairBandwidthError(
         f"beta2={exact_str(b2)} is below the feasibility threshold {exact_str(start)}"
     )
@@ -176,8 +187,7 @@ def alpha_min_b(params: SystemParams, beta2: RationalLike) -> Fraction:
 
 def beta2_min(params: SystemParams) -> Fraction:
     """Smallest expensive-tier download for which any storage size suffices."""
-    *_, (start, _) = _pieces(params)
-    return start
+    return _start(params, params.k - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +196,7 @@ def beta2_min(params: SystemParams) -> Fraction:
 
 def gmsr_point(params: SystemParams) -> CodePoint:
     """Minimum-storage point of the two-tier curve: the start of its flat branch (alpha = M/k, least gamma)."""
-    start, _ = next(_pieces(params))
-    return operating_point(params, start)
+    return operating_point(params, _start(params, 0))
 
 
 def gmbr_point(params: SystemParams) -> CodePoint:
@@ -206,8 +215,7 @@ def grc_limit_point(params: SystemParams, kind: str) -> CodePoint:
     as_choice(kind, ("gmsr", "gmbr"), "kind")
     if params.scenario is not Scenario.A:
         raise NotApplicableError("the kprime -> infinity limit is finite only when d1 >= k")
-    single_tier = msr_point if kind == "gmsr" else mbr_point
-    point = single_tier(params.file_size, params.k, params.d1)
+    point = _symmetric_point(kind[1:], params.file_size, params.k, params.d1)
     return replace(point, beta2=Fraction(0), cost=params.cost_cheap * point.gamma)
 
 
@@ -215,14 +223,21 @@ def grc_limit_point(params: SystemParams, kind: str) -> CodePoint:
 # ratios against symmetric repair at the same d
 
 
+def _end(params: SystemParams, kind: str) -> tuple[int, int, int]:
+    """``(c0, c1, S)``: the two-tier ``kind`` extremal starts at beta2 = 2M / (c0 + c1*kprime), the
+    symmetric one at beta = 2M/S.  c0 and c1 are those of piece 0 (msr) or piece k-1 (mbr); a
+    ``kind`` other than "msr" or "mbr" raises InvalidChoiceError."""
+    c0, c1, _, _ = _piece(params, 0 if as_choice(kind, _POINT_KINDS, "kind") == "msr" else params.k - 1)
+    return c0, c1, _single_tier(kind, params.k, params.d)
+
+
 def bandwidth_ratio(params: SystemParams, kind: str) -> Fraction:
     """gamma(two-tier extremal) / gamma(symmetric extremal), same d and kind: cost_ratio at unit costs."""
-    return _extremal_ratio(params, as_choice(kind, _POINT_KINDS, "kind"), params.gamma_per_beta2, params.d)
+    return _extremal_ratio(params, kind, params.gamma_per_beta2, params.d)
 
 
 def cost_ratio(params: SystemParams, kind: str) -> Fraction:
     """Download cost of the two-tier extremal relative to the symmetric one."""
-    kind = as_choice(kind, _POINT_KINDS, "kind")
     c1, c2 = params.cost_cheap, params.cost_expensive
     return _extremal_ratio(params, kind, params.cost_per_beta2, c1 * params.d1 + c2 * params.d2)
 
@@ -231,57 +246,44 @@ def _extremal_ratio(params: SystemParams, kind: str, per_beta2: Fraction, symmet
     """``per_beta2 * beta2`` of the two-tier extremal over ``symmetric * beta`` of the symmetric one.
 
     The weights are what a repair moves or pays per unit of beta2 (two-tier) and of beta
-    (symmetric).  One int numerator over one int denominator, from the integer parts of
-    kprime = kn/kd, per_beta2 = pn/pd and symmetric = sn/sd, and the comparison row.
+    (symmetric), and beta2 / beta is S / (c0 + c1*kprime).  One int numerator over one int
+    denominator, from the integer parts of kprime = kn/kd, per_beta2 = pn/pd and symmetric = sn/sd.
     """
-    P, q1, q0, _ = _comparison(params, kind)
+    c0, c1, S = _end(params, kind)
     kn, kd = params.kprime.numerator, params.kprime.denominator
     pn, pd = per_beta2.numerator, per_beta2.denominator
     sn, sd = symmetric.numerator, symmetric.denominator
-    return _div(pn * P * kd * sd, pd * sn * (q1 * kn + q0 * kd))
-
-
-def _comparison(params: SystemParams, kind: str) -> tuple[int, int, int, tuple[int, int] | None]:
-    """``(P, q1, q0, threshold)``: the two-tier ``kind`` extremal against the symmetric one at the same d.
-
-    beta2 (two-tier) over beta (symmetric) is P / (q1 * kprime + q0).  ``threshold``, the break-even
-    c2/c1 as (num, den), is None on B's msr row, which has no threshold and no finite limit.
-    """
-    k, d, d1, d2 = params.k, params.d, params.d1, params.d2
-    if params.scenario is Scenario.A:
-        return {
-            "msr": (d - k + 1, d1 - k + 1, d2, (d1, d1 - k + 1)),
-            "mbr": (2 * d - k + 1, 2 * d1 - k + 1, 2 * d2, (2 * d1, 2 * d1 - k + 1)),
-        }[kind]
-    base, tail = 2 * k * d - k * k + k, d1 * d1 + d1
-    return {
-        "msr": (1, 0, 1, None),
-        "mbr": (base, tail, base - tail, (base - tail, d2 * (d1 + 1))),
-    }[kind]
+    return _div(pn * S * kd * sd, pd * sn * (c0 * kd + c1 * kn))
 
 
 def cost_threshold(params: SystemParams, kind: str) -> Fraction:
     """Least cost_expensive/cost_cheap at which two-tier repair never costs more.
 
-    Scenario B's minimum-storage point has none: its cost ratio there,
-    (c1*d1*kprime + c2*d2) / (c1*d1 + c2*d2), grows with kprime when c1*d1 > 0.
+    It is d1*c0 / (d2*c1), with c0 and c1 of the ``kind`` end piece.  Scenario B's
+    minimum-storage point has none: its cost ratio there, (c1*d1*kprime + c2*d2) /
+    (c1*d1 + c2*d2) with costs c1 and c2, grows with kprime when c1*d1 > 0.  Nor
+    has a configuration with an empty tier, whose end piece has c0 = 0 or c1 = 0:
+    its two-tier code is the symmetric one, with cost ratio 1 at every kprime and c2/c1.
     """
-    *_, threshold = _comparison(params, as_choice(kind, _POINT_KINDS, "kind"))
-    if threshold is None:
+    c0, c1, _ = _end(params, kind)
+    if kind == "msr" and c1 == 0:
         raise NotApplicableError("no cost threshold at the minimum-storage point when d1 < k")
-    return _div(*threshold)
+    if c0 == 0 or c1 == 0:
+        raise NotApplicableError("no cost threshold with an empty tier: two-tier repair is symmetric repair")
+    return Fraction(params.d1 * c0, params.d2 * c1)
 
 
 def cost_ratio_limit(params: SystemParams, kind: str) -> Fraction:
     """kprime -> infinity limit of cost_ratio (cheap tier carries everything).
 
-    It is the quotient of cost_ratio's leading kprime coefficients, c1*d1*P over (c1*d1 + c2*d2)*q1.
+    It is the quotient of cost_ratio's leading kprime coefficients,
+    cost_cheap*d1*S over (cost_cheap*d1 + cost_expensive*d2) * c1.
     """
-    P, q1, _, threshold = _comparison(params, as_choice(kind, _POINT_KINDS, "kind"))
-    if threshold is None:
+    _, c1, S = _end(params, kind)
+    if kind == "msr" and c1 == 0:
         raise NotApplicableError("no finite minimum-storage limit when d1 < k")
-    c1d1 = params.cost_cheap * params.d1
-    return _div(c1d1 * P, (c1d1 + params.cost_expensive * params.d2) * q1)
+    cheap = params.cost_cheap * params.d1
+    return _div(cheap * S, (cheap + params.cost_expensive * params.d2) * c1)
 
 
 def _div(num: Fraction | int, den: Fraction | int) -> Fraction:
@@ -369,8 +371,8 @@ def tradeoff_curve(params: SystemParams) -> TradeoffCurve:
     """Assemble the alpha_min segments covering [beta2_min, infinity)."""
     M, k = params.file_size, params.k
     segments = tuple(
-        TradeoffSegment(beta2_lo=start, intercept=M / (k - i), slope=tail2 / (2 * (k - i)))
-        for i, (start, tail2) in reversed(list(enumerate(_pieces(params))))
+        TradeoffSegment(beta2_lo=_start(params, i), intercept=M / (k - i), slope=_tail(params, i) / (2 * (k - i)))
+        for i in reversed(range(k))
     )
     return TradeoffCurve(params=params, segments=segments)
 

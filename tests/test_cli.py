@@ -471,6 +471,16 @@ def test_threshold_rows(capsys):
     assert parse_csv(out)[1] == [["mbr", "A", "4/3", "1.33333333333"]]
 
 
+def test_threshold_is_na_with_an_empty_tier(capsys):
+    # with d2 = 0, or d1 = 0 in scenario B, two-tier repair is symmetric repair: no break-even
+    code, out, _ = run_cli(["threshold", "--k", "2", "--d1", "2", "--d2", "0"], capsys)
+    assert code == 0
+    assert parse_csv(out)[1] == [["msr", "A", "NA", "NA"], ["mbr", "A", "NA", "NA"]]
+    code, out, _ = run_cli(["threshold", "--k", "2", "--d1", "0", "--d2", "2"], capsys)
+    assert code == 0
+    assert parse_csv(out)[1] == [["msr", "B", "NA", "NA"], ["mbr", "B", "NA", "NA"]]
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -419,6 +419,44 @@ def test_cost_ratio_is_flat_exactly_at_the_msr_threshold():
         assert cost_ratio(params, "msr") == 1
 
 
+def test_cost_ratio_is_one_at_every_threshold_and_at_kprime_one():
+    # over the whole sweep: at c2/c1 = T the cost ratio is flat at 1, and at kprime = 1 the
+    # two-tier code is the symmetric one, so both ratios are 1 wherever the costs are nonzero
+    for base, kind in itertools.product(SWEEP + RATIONAL, ("msr", "mbr")):
+        try:
+            threshold = cost_threshold(base, kind)
+        except NotApplicableError:
+            pass
+        else:
+            for kprime in (*range(1, 7), F(5, 2)):
+                at_threshold = replace(base, kprime=F(kprime), cost_cheap=F(1), cost_expensive=threshold)
+                assert cost_ratio(at_threshold, kind) == 1, (base, kind, kprime)
+        for c1, c2 in ((1, 1), (1, 3), (0, 3), (F(2, 3), F(7, 4))):
+            params = replace(base, kprime=F(1), cost_cheap=F(c1), cost_expensive=F(c2))
+            assert bandwidth_ratio(params, kind) == 1, (params, kind)
+            if c1 * params.d1 + c2 * params.d2:
+                assert cost_ratio(params, kind) == 1, (params, kind)
+
+
+def test_scenario_a_cost_ratio_limit_is_the_limit_point_cost():
+    # the kprime -> inf limit of eta against the cost of grc_limit_point (single-tier at d = d1)
+    # over the symmetric point's cost at the full d
+    checked = 0
+    for base, (c1, c2), kind in itertools.product(
+        SWEEP + RATIONAL, ((1, 1), (1, 2), (0, 3), (F(2, 3), F(7, 4))), ("msr", "mbr")
+    ):
+        params = replace(base, cost_cheap=F(c1), cost_expensive=F(c2))
+        symmetric_cost = params.cost_cheap * params.d1 + params.cost_expensive * params.d2
+        if params.d1 < params.k or symmetric_cost == 0:
+            continue
+        single_tier = msr_point if kind == "msr" else mbr_point
+        sym = single_tier(params.file_size, params.k, params.d)
+        limit_cost = grc_limit_point(params, "g" + kind).cost
+        assert cost_ratio_limit(params, kind) == limit_cost / (sym.beta2 * symmetric_cost), (params, kind)
+        checked += 1
+    assert checked > 0
+
+
 def test_cost_ratio_limit_values():
     at_four = make_params(5, 8, 6, kprime=2, n=15, cost_cheap=1, cost_expensive=4)
     assert cost_ratio_limit(at_four, "msr") == F(5, 8)
@@ -472,6 +510,8 @@ def _printed_ratio(params, kind, per_beta2, symmetric):
 
 def _printed_threshold(params, kind):
     k, d, d1, d2 = params.k, params.d, params.d1, params.d2
+    if d2 == 0 or (d1 == 0 and kind == "mbr"):
+        raise NotApplicableError("an empty tier: two-tier repair is symmetric repair")
     if d1 >= k:
         if kind == "msr":
             return _printed_quotient(d1, d1 - k + 1)
