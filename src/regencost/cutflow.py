@@ -71,6 +71,12 @@ def cut_terms(params: SystemParams, beta2: RationalLike) -> list[Fraction]:
     min(i, d1) cheap helpers at beta1 = kprime * beta2 and d2 - max(i - d1, 0)
     expensive ones at beta2; it competes with alpha.  This is the helper
     rule of :func:`build_gstar`, counted here without building the graph.
+
+    Per unit beta2, term m is an integer line D_m = a_m*kprime + b_m, and neither
+    coefficient grows with m.  The oracle's piece i reads S_i, the sum of the i smallest
+    terms, and the (i+1)-th smallest; both are sums of arithmetic progressions in m, so
+    in each of ``tradeoff._piece``'s three regions they are polynomials of degree <= 2
+    in each of its four variables, as the closed form's are.
     """
     b2 = as_nonnegative(beta2, "beta2")
     k, d1, d2, kp = params.k, params.d1, params.d2, params.kprime

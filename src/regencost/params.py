@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from random import Random
 from typing import Iterable, Iterator, TypeVar, Union
 
@@ -174,12 +175,13 @@ class SystemParams:
     def scenario(self) -> Scenario:
         return Scenario.A if self.d1 >= self.k else Scenario.B
 
-    @property
+    # computed on first use and kept in the instance's __dict__; a dataclasses.replace copy computes its own
+    @cached_property
     def gamma_per_beta2(self) -> Fraction:
         """Repair bandwidth per unit of expensive-tier download: d1*kprime + d2."""
         return self.d1 * self.kprime + self.d2
 
-    @property
+    @cached_property
     def cost_per_beta2(self) -> Fraction:
         """Repair cost per unit of expensive-tier download: cost_cheap*d1*kprime + cost_expensive*d2."""
         return self.cost_cheap * self.d1 * self.kprime + self.cost_expensive * self.d2

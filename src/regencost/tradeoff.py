@@ -12,6 +12,9 @@ curve as integers (c0, c1, t0, t1): it starts at beta2 = 2M / (c0 + c1*kprime),
 and on it alpha = (2M - (t0 + t1*kprime) * beta2) / (2 (k - i)).  Only it tells
 Scenario A (d1 >= k) from Scenario B (d1 < k); the curve, its breakpoints and
 its two ends (the two-tier extremal points, piece 0 and piece k-1) read it.
+``alpha_min`` scans the pieces with integer comparisons, ``operating_point`` is
+the only code that builds a point on the curve, and ``TradeoffCurve.points``
+calls it at each beta2.
 ``_single_tier`` gives the symmetric points' beta = 2M/S, and the kprime ->
 infinity limit points are those points at d = d1.  The comparisons read S and
 an end's c0 and c1: beta2 over beta is S / (c0 + c1*kprime), the cost-ratio
@@ -21,7 +24,6 @@ cost threshold is d1*c0 / (d2*c1).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable
@@ -46,8 +48,6 @@ from .params import (
     as_nonnegative,
     as_values,
     exact_str,
-    repair_bandwidth,
-    total_cost,
 )
 
 _POINT_KINDS = ("msr", "mbr")
@@ -99,9 +99,18 @@ def _piece(params: SystemParams, i: int) -> tuple[int, int, int, int]:
     t1*kprime is twice the total capacity (per unit beta2) of the branches
     already saturated.  Scenario B's pieces are the u = k - d1 upper-range ones,
     which do not depend on kprime, then the d1 lower-range ones, j = i - u.
+
+    In each of the three regions (A; B with i < u; B with j = i - u) every value is a
+    polynomial of degree <= 2 in each of four variables: (i, k, d1, d2), (i, u, d1, d2)
+    and (j, u, d1, d2), with k = u + d1 and d = d1 + d2 in B.  So are the cut oracle's
+    lines (see ``cutflow.cut_terms``).  A polynomial of that degree which vanishes on a
+    3x3x3x3 grid is zero, so the test that the two agree on one such grid per region
+    shows that they agree for every (k, d1, d2) and kprime.
     """
-    k, d, d1, d2 = params.k, params.d, params.d1, params.d2
-    if params.scenario is Scenario.A:
+    # the fields, not the d and scenario properties: this runs for each piece scanned at every curve point
+    k, d1, d2 = params.k, params.d1, params.d2
+    d = d1 + d2
+    if d1 >= k:  # Scenario A
         return 2 * k * d2, 2 * k * (d1 - k) + (i + 1) * (2 * k - i), 2 * i * d2, i * (2 * (d1 - k) + i + 1)
     u = k - d1
     if i < u:
@@ -116,12 +125,6 @@ def _start(params: SystemParams, i: int) -> Fraction:
     c0, c1, _, _ = _piece(params, i)
     M, kp = params.file_size, params.kprime
     return Fraction(2 * M.numerator * kp.denominator, M.denominator * (c0 * kp.denominator + c1 * kp.numerator))
-
-
-def _tail(params: SystemParams, i: int) -> Fraction:
-    """t0 + t1*kprime of piece i, as one Fraction from integer parts."""
-    _, _, t0, t1 = _piece(params, i)
-    return Fraction(t0 * params.kprime.denominator + t1 * params.kprime.numerator, params.kprime.denominator)
 
 
 def breakpoint_a(params: SystemParams, i: int) -> Fraction:
@@ -163,15 +166,24 @@ def _require(params: SystemParams, scenario: Scenario) -> None:
 
 
 def alpha_min(params: SystemParams, beta2: RationalLike) -> Fraction:
-    """Least per-node storage meeting the reconstruction bound at this beta2."""
+    """Least per-node storage meeting the reconstruction bound at this beta2.
+
+    beta2 = p/q is on the first piece i that starts at or below it: with M = Mn/Md and
+    kprime = kn/kd, the first with p*Md*(c0*kd + c1*kn) >= 2*Mn*kd*q.  alpha there is one
+    Fraction, (2*Mn*kd*q - Md*(t0*kd + t1*kn)*p) / (2*(k - i)*Md*kd*q): integer comparisons
+    and one normalisation per call.
+    """
     b2 = as_nonnegative(beta2, "beta2")
-    M, k = params.file_size, params.k
+    p, q = b2.numerator, b2.denominator
+    M, kp, k = params.file_size, params.kprime, params.k
+    Mn, Md, kn, kd = M.numerator, M.denominator, kp.numerator, kp.denominator
+    bound, pMd = 2 * Mn * kd * q, p * Md
     for i in range(k):
-        start = _start(params, i)
-        if b2 >= start:
-            return (2 * M - _tail(params, i) * b2) / (2 * (k - i))
+        c0, c1, t0, t1 = _piece(params, i)
+        if pMd * (c0 * kd + c1 * kn) >= bound:
+            return Fraction(bound - pMd * (t0 * kd + t1 * kn), 2 * (k - i) * Md * kd * q)
     raise InsufficientRepairBandwidthError(
-        f"beta2={exact_str(b2)} is below the feasibility threshold {exact_str(start)}"
+        f"beta2={exact_str(b2)} is below the feasibility threshold {exact_str(beta2_min(params))}"
     )
 
 
@@ -325,65 +337,36 @@ class TradeoffCurve:
     def points(self, beta2s: Iterable[RationalLike]) -> list[CodePoint]:
         """``operating_point`` at each beta2, in input order, which may be any order.
 
-        Each beta2's segment is found by bisection over the breakpoints.  The
-        first point of each visit to a segment comes from ``operating_point``,
-        as does a beta2 below the curve, which ``alpha_min`` refuses; the rest
-        are read off the segment's line.  A read-off field is built as one
-        ``Fraction(numerator, denominator)`` from the integer parts of beta2
-        = p/q and of the curve's constants (the segment's intercept and
-        slope, kprime, gamma and cost per unit beta2), so it is normalised
-        once rather than once per Fraction operation; the values are the
-        same.  ``beta2s`` is a non-string iterable, read once (UsageError otherwise).
+        ``beta2s`` is a non-string iterable, read once (UsageError otherwise).
         """
-        beta2s = as_values(beta2s, "beta2s", "beta2 values")
-        params, segments, starts = self.params, self.segments, self.breakpoints()
-        kprime, gamma_per_beta2, cost_per_beta2 = params.kprime, params.gamma_per_beta2, params.cost_per_beta2
-        kprime_num, kprime_den = kprime.numerator, kprime.denominator
-        gamma_num, gamma_den = gamma_per_beta2.numerator, gamma_per_beta2.denominator
-        cost_num, cost_den = cost_per_beta2.numerator, cost_per_beta2.denominator
-        visited = line = None
-        result = []
-        for beta2 in beta2s:
-            b2 = as_nonnegative(beta2, "beta2")
-            index = bisect_right(starts, b2) - 1
-            if index == visited:
-                p, q = b2.numerator, b2.denominator
-                top, drop, bottom = line
-                point = CodePoint(
-                    alpha=Fraction(top * q - drop * p, bottom * q),
-                    beta1=Fraction(kprime_num * p, kprime_den * q),
-                    beta2=b2,
-                    gamma=Fraction(gamma_num * p, gamma_den * q),
-                    cost=Fraction(cost_num * p, cost_den * q),
-                )
-            else:
-                point = operating_point(params, b2)
-                intercept, slope = segments[index].intercept, segments[index].slope
-                # alpha = intercept - slope * p/q = (top * q - drop * p) / (bottom * q)
-                top = intercept.numerator * slope.denominator
-                drop = slope.numerator * intercept.denominator
-                visited, line = index, (top, drop, intercept.denominator * slope.denominator)
-            result.append(point)
-        return result
+        return [operating_point(self.params, beta2) for beta2 in as_values(beta2s, "beta2s", "beta2 values")]
 
 
 def tradeoff_curve(params: SystemParams) -> TradeoffCurve:
     """Assemble the alpha_min segments covering [beta2_min, infinity)."""
-    M, k = params.file_size, params.k
-    segments = tuple(
-        TradeoffSegment(beta2_lo=_start(params, i), intercept=M / (k - i), slope=_tail(params, i) / (2 * (k - i)))
-        for i in reversed(range(k))
-    )
-    return TradeoffCurve(params=params, segments=segments)
+    M, k, kn, kd = params.file_size, params.k, params.kprime.numerator, params.kprime.denominator
+    segments = []
+    for i in reversed(range(k)):
+        _, _, t0, t1 = _piece(params, i)
+        slope = Fraction(t0 * kd + t1 * kn, 2 * (k - i) * kd)
+        segments.append(TradeoffSegment(beta2_lo=_start(params, i), intercept=M / (k - i), slope=slope))
+    return TradeoffCurve(params=params, segments=tuple(segments))
 
 
 def operating_point(params: SystemParams, beta2: RationalLike) -> CodePoint:
-    """CodePoint on the minimum-storage curve at the given beta2."""
+    """CodePoint on the minimum-storage curve at the given beta2.
+
+    The only code that builds a point on the curve.  Each field is one ``Fraction`` from
+    integer parts: alpha from ``alpha_min``, and beta1, gamma and cost as beta2 = p/q times
+    kprime, ``gamma_per_beta2`` and ``cost_per_beta2``.
+    """
     b2 = as_nonnegative(beta2, "beta2")
+    p, q = b2.numerator, b2.denominator
+    kp, gamma, cost = params.kprime, params.gamma_per_beta2, params.cost_per_beta2
     return CodePoint(
         alpha=alpha_min(params, b2),
-        beta1=params.kprime * b2,
+        beta1=Fraction(kp.numerator * p, kp.denominator * q),
         beta2=b2,
-        gamma=repair_bandwidth(params, b2),
-        cost=total_cost(params, b2),
+        gamma=Fraction(gamma.numerator * p, gamma.denominator * q),
+        cost=Fraction(cost.numerator * p, cost.denominator * q),
     )

@@ -267,6 +267,85 @@ def test_closed_form_does_not_use_the_cut_oracle(monkeypatch):
             assert operating_point(params, beta2).alpha == alpha_min(params, beta2) == on_line
 
 
+# One 3x3x3x3 grid per region of the curve's pieces, in that region's variables: A (d1 >= k) as
+# (i, k, d1, d2); B (d1 < k, u = k - d1) as (i, u, d1, d2) for the pieces i < u and as
+# (j, u, d1, d2), j = i - u, for the rest.  In each region both sides of the identity below are
+# polynomials of degree <= 2 in each variable, and such a polynomial that vanishes on a 3x3x3x3
+# grid is zero everywhere (Alon, "Combinatorial Nullstellensatz", CPC 1999, Lemma 2.1).
+IDENTITY_GRIDS = {
+    "A": ((0, 1, 2), (3, 4, 5), (5, 6, 7), (0, 1, 2)),
+    "B upper": ((0, 1, 2), (3, 4, 5), (0, 1, 2), (5, 6, 7)),
+    "B lower": ((0, 1, 2), (1, 2, 3), (3, 4, 5), (3, 4, 5)),
+}
+
+
+def _integer_line(values):
+    """``(constant, coefficient)`` of the integer line in kprime whose values at kprime 1, 2 and 3
+    are ``values``; the third value checks that it is a line."""
+    at1, at2, at3 = values
+    coefficient = at2 - at1
+    assert at3 - at2 == coefficient
+    constant = at1 - coefficient
+    assert constant.denominator == coefficient.denominator == 1
+    return int(constant), int(coefficient)
+
+
+def _region_point(k, d1, d2, i):
+    """Piece i of (k, d1, d2) as a point of its region's grid variables."""
+    if d1 >= k:
+        return "A", (i, k, d1, d2)
+    u = k - d1
+    return ("B upper", (i, u, d1, d2)) if i < u else ("B lower", (i - u, u, d1, d2))
+
+
+def test_closed_form_equals_the_cut_oracle_as_integer_identities():
+    # Both routes run one first-match scan over k pieces.  The oracle's piece i starts at
+    # beta2 = M / (S_i + (k-i)*D_(i)), with D_(i) the (i+1)-th smallest cut term per unit beta2
+    # and S_i the sum of the i smallest, and has alpha = (M - S_i*beta2) / (k - i); the closed
+    # form's piece i starts at 2M / (c0 + c1*kprime) and has alpha = (2M - (t0 + t1*kprime)*beta2)
+    # / (2(k - i)).  So t0 + t1*kprime = 2*S_i and c0 + c1*kprime = 2*(S_i + (k-i)*D_(i)), as
+    # integer lines in kprime, read here through the public functions only.
+    covered = {region: set() for region in IDENTITY_GRIDS}
+    sweep = verification_sweep(max_k=8, max_d=10, kprimes=(1, 2, 3))
+    for (k, d1, d2), triple in itertools.groupby(sweep, key=lambda params: (params.k, params.d1, params.d2)):
+        triple = list(triple)
+        assert [params.kprime for params in triple] == [1, 2, 3] and triple[0].file_size == 1
+        # cut term m per unit beta2 is D_m = (constant, coefficient of kprime)
+        terms = [cutflow.cut_terms(params, 1) for params in triple]
+        D = [_integer_line(values) for values in zip(*terms)]
+        # each step in m lowers neither coefficient, so ascending order is the reverse of m at every
+        # kprime >= 0, and the last and smallest term is at least 1 for kprime >= 1: no start divides by 0
+        for (b_hi, a_hi), (b_lo, a_lo) in zip(D, D[1:]):
+            assert b_hi - b_lo >= 0 and a_hi - a_lo >= 0, (k, d1, d2)
+        b_last, a_last = D[-1]
+        assert a_last >= 0 and a_last + b_last >= 1, (k, d1, d2)
+        ascending = D[::-1]
+        oracle = []
+        for i in range(k):
+            S = tuple(sum(line[c] for line in ascending[:i]) for c in (0, 1))
+            oracle.append((tuple(2 * s for s in S), tuple(2 * (S[c] + (k - i) * ascending[i][c]) for c in (0, 1))))
+        # the closed form at M = 1: piece i is segment k-1-i, with intercept 1/(k-i),
+        # 2*(k-i)*slope = t0 + t1*kprime and 2/beta2_lo = c0 + c1*kprime
+        segments = [tradeoff_curve(params).segments[::-1] for params in triple]
+        closed = []
+        for i in range(k):
+            pieces = [by_kprime[i] for by_kprime in segments]
+            assert all(piece.intercept == F(1, k - i) for piece in pieces)
+            closed.append(
+                (
+                    _integer_line([2 * (k - i) * piece.slope for piece in pieces]),
+                    _integer_line([2 / piece.beta2_lo for piece in pieces]),
+                )
+            )
+        assert closed == oracle, (k, d1, d2)
+        for i in range(k):
+            region, point = _region_point(k, d1, d2, i)
+            covered[region].add(point)
+    for region, grid in IDENTITY_GRIDS.items():
+        missing = set(itertools.product(*grid)) - covered[region]
+        assert not missing, (region, sorted(missing)[:3])
+
+
 # ---------------------------------------------------------------------------
 # two-tier extremal points
 
@@ -582,14 +661,20 @@ def test_curve_segments_tile_the_feasible_range():
 
 
 def test_curve_matches_alpha_min_pointwise():
-    for params in SWEEP:
+    eps = F(1, 10**9)
+    for params in SWEEP + RATIONAL:
         curve = tradeoff_curve(params)
         probes = set(curve.breakpoints())
         for left, right in zip(curve.breakpoints(), curve.breakpoints()[1:]):
             probes.add((left + right) / 2)
         probes.add(curve.breakpoints()[-1] * 3)
+        # either side of each piece start pins alpha_min's ">=" boundary test
+        probes.update(b + sign * eps for b in curve.breakpoints() for sign in (-1, 1))
+        probes.discard(curve.beta2_min - eps)
         for beta2, on_line in zip(sorted(probes), _line_alphas(curve, sorted(probes))):
-            assert on_line == alpha_min(params, beta2)
+            assert on_line == alpha_min(params, beta2), (params, beta2)
+        with pytest.raises(InsufficientRepairBandwidthError):
+            alpha_min(params, curve.beta2_min - eps)
 
 
 def test_curve_is_nonincreasing_in_beta2():
@@ -613,13 +698,17 @@ def test_curve_refuses_points_below_feasibility():
 
 
 def _line_alphas(curve, beta2s):
-    """alpha at each beta2 as read off its segment's line by ``curve.points``.
+    """alpha at each beta2 read off the line of the segment that holds it, intercept - slope * beta2.
 
-    ``points`` takes the first point of each visit to a segment from
-    ``operating_point`` and the rest from the segment's line, so each beta2
-    is asked for twice and the second answer is kept.
+    The segment is the last one starting at or below beta2.  ``curve.points`` gives
+    ``alpha_min`` itself, so the curve tests read the segments instead, or they would
+    compare ``alpha_min`` with itself.
     """
-    return [point.alpha for point in curve.points(b for b2 in beta2s for b in (b2, b2))][1::2]
+    alphas = []
+    for beta2 in beta2s:
+        segment = [segment for segment in curve.segments if segment.beta2_lo <= beta2][-1]
+        alphas.append(segment.intercept - segment.slope * beta2)
+    return alphas
 
 
 def _grid_with_breakpoints(curve, samples):
@@ -654,15 +743,6 @@ def test_curve_points_keep_input_order():
         assert curve.points([grid[i] for i in order]) == [expected[i] for i in order]
 
 
-def test_curve_points_call_operating_point_once_per_segment(monkeypatch):
-    calls = []
-    real = tradeoff.operating_point
-    monkeypatch.setattr(tradeoff, "operating_point", lambda p, b: calls.append(b) or real(p, b))
-    curve = tradeoff_curve(A_WIDE)
-    curve.points(_grid_with_breakpoints(curve, 50))
-    assert calls == curve.breakpoints()
-
-
 def test_curve_points_validate_each_beta2():
     curve = tradeoff_curve(A_SMALL)
     assert curve.points([]) == []
@@ -679,6 +759,24 @@ def test_operating_point_is_consistent():
     assert point.gamma == 2 * point.beta1 + point.beta2
     assert point.cost == total_cost(A_SMALL, point.beta2)
     assert not point.beta1_exceeds_alpha
+
+
+def test_per_beta2_values_are_computed_once_per_instance():
+    for params in SWEEP + RATIONAL:
+        d1, d2, kprime = params.d1, params.d2, params.kprime
+        c1, c2 = params.cost_cheap, params.cost_expensive
+        assert params.gamma_per_beta2 == d1 * kprime + d2
+        assert params.cost_per_beta2 == c1 * d1 * kprime + c2 * d2
+        # a second read returns the kept object, where a recomputation would build a new one
+        assert params.gamma_per_beta2 is params.gamma_per_beta2
+        assert params.cost_per_beta2 is params.cost_per_beta2
+        # a copy with another kprime or other costs computes its own values
+        other_kprime = replace(params, kprime=kprime + F(1, 2))
+        assert other_kprime.gamma_per_beta2 == d1 * (kprime + F(1, 2)) + d2
+        assert other_kprime.cost_per_beta2 == c1 * d1 * (kprime + F(1, 2)) + c2 * d2
+        other_costs = replace(params, cost_cheap=c1 + 1, cost_expensive=c2 + 3)
+        assert other_costs.gamma_per_beta2 == params.gamma_per_beta2
+        assert other_costs.cost_per_beta2 == (c1 + 1) * d1 * kprime + (c2 + 3) * d2
 
 
 def test_operating_point_can_flag_chatty_helpers():
