@@ -35,7 +35,7 @@ from typing import Iterable, Sequence, TextIO
 
 from . import cutflow, rlnc, tradeoff
 from .errors import NonPositiveError, NotApplicableError, RegenError, UsageError
-from .params import CodePoint, SystemParams, as_fraction, exact_str, total_cost
+from .params import CodePoint, SystemParams, as_fraction, exact_str
 
 # one row per system-parameter flag: (flag, SystemParams field, argparse type, help)
 _PARAM_FLAGS = (
@@ -158,7 +158,7 @@ def _point_for_kind(params: SystemParams, kind: str) -> CodePoint:
     if kind in ("msr", "mbr"):
         builder = tradeoff.msr_point if kind == "msr" else tradeoff.mbr_point
         point = builder(params.file_size, params.k, params.d)
-        return replace(point, cost=total_cost(replace(params, kprime=Fraction(1)), point.beta2))
+        return replace(point, cost=replace(params, kprime=Fraction(1)).cost_per_beta2 * point.beta2)
     if kind in ("gmsr", "gmbr"):
         return tradeoff.gmsr_point(params) if kind == "gmsr" else tradeoff.gmbr_point(params)
     return tradeoff.grc_limit_point(params, kind.removesuffix("-limit"))
@@ -186,8 +186,7 @@ _CURVE_HEADER = [name for field in _CURVE_FIELDS for name in (field, f"{field}_d
 
 
 def _curve_rows(params: SystemParams, samples: int, breakpoints_only: bool) -> list[list[str]]:
-    curve = tradeoff.tradeoff_curve(params)
-    breakpoints = curve.breakpoints()
+    breakpoints = tradeoff.tradeoff_curve(params).breakpoints()
     if breakpoints_only:
         grid = breakpoints
     else:
@@ -197,7 +196,7 @@ def _curve_rows(params: SystemParams, samples: int, breakpoints_only: bool) -> l
             raise ValueError(f"--samples must be at most {_MAX_SAMPLES}, got {samples}")
         # sample i is low + (high - low) * i / (samples - 1), high being 3/2 of the flat branch's start,
         # built over one common denominator as Fraction(first + rise * i, den)
-        low, flat = curve.beta2_min, curve.segments[-1].beta2_lo
+        low, flat = breakpoints[0], breakpoints[-1]
         scaled_low = 2 * low.numerator * flat.denominator
         first = scaled_low * (samples - 1)
         rise = 3 * flat.numerator * low.denominator - scaled_low
@@ -206,7 +205,7 @@ def _curve_rows(params: SystemParams, samples: int, breakpoints_only: bool) -> l
         grid = [beta2 for beta2, _ in groupby(heapq.merge(samples_grid, breakpoints))]
     return [
         [cell for field in _CURVE_FIELDS for cell in _exact_cells(getattr(point, field))]
-        for point in curve.points(grid)
+        for point in (tradeoff.operating_point(params, beta2) for beta2 in grid)
     ]
 
 
@@ -343,6 +342,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                         "d2": p.d2,
                         "kprime": exact_str(p.kprime),
                         "report": _report_payload(r),
+                        "reproduce": _sweep_reproducer(p, r.beta2),
                     }
                     for p, r in mismatches
                 ],

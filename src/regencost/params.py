@@ -285,16 +285,6 @@ def check_tiers(cheap: Iterable[int], expensive: Iterable[int], n_cheap: int) ->
                 raise InsufficientHelpersError(f"node {exact_str(helper)} is {tier}, expected {expected}")
 
 
-def repair_bandwidth(params: SystemParams, beta2: RationalLike) -> Fraction:
-    """Total symbols moved per repair: gamma = d1*beta1 + d2*beta2 with beta1 = kprime*beta2."""
-    return params.gamma_per_beta2 * as_nonnegative(beta2, "beta2")
-
-
-def total_cost(params: SystemParams, beta2: RationalLike) -> Fraction:
-    """Per-repair download cost: cost_cheap*d1*beta1 + cost_expensive*d2*beta2."""
-    return params.cost_per_beta2 * as_nonnegative(beta2, "beta2")
-
-
 @dataclass(frozen=True)
 class CodePoint:
     """One operating point: per-node storage alpha and per-helper downloads.

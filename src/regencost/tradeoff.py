@@ -12,9 +12,10 @@ curve as integers (c0, c1, t0, t1): it starts at beta2 = 2M / (c0 + c1*kprime),
 and on it alpha = (2M - (t0 + t1*kprime) * beta2) / (2 (k - i)).  Only it tells
 Scenario A (d1 >= k) from Scenario B (d1 < k); the curve, its breakpoints and
 its two ends (the two-tier extremal points, piece 0 and piece k-1) read it.
-``alpha_min`` scans the pieces with integer comparisons, ``operating_point`` is
-the only code that builds a point on the curve, and ``TradeoffCurve.points``
-calls it at each beta2.
+``alpha_min`` scans the pieces with integer comparisons, and ``operating_point``
+is the only code that builds a point on the curve.  ``TradeoffCurve`` is the
+curve's segments alone: a caller that wants points calls ``operating_point`` at
+each beta2.
 ``_single_tier`` gives the symmetric points' beta = 2M/S, and the kprime ->
 infinity limit points are those points at d = d1.  The comparisons read S and
 an end's c0 and c1: beta2 over beta is S / (c0 + c1*kprime), the cost-ratio
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import (
     DegenerateConfigurationError,
@@ -46,7 +46,6 @@ from .params import (
     as_count,
     as_fraction,
     as_nonnegative,
-    as_values,
     exact_str,
 )
 
@@ -320,26 +319,13 @@ class TradeoffSegment:
 
 @dataclass(frozen=True)
 class TradeoffCurve:
-    """The full piecewise-linear alpha_min curve for one parameter set."""
+    """The full piecewise-linear alpha_min curve for one parameter set, as its segments."""
 
-    params: SystemParams
     segments: tuple[TradeoffSegment, ...]
-
-    @property
-    def beta2_min(self) -> Fraction:
-        """Start of the first segment: the least feasible beta2."""
-        return self.segments[0].beta2_lo
 
     def breakpoints(self) -> list[Fraction]:
         """Left endpoints of every segment, ascending; the first is beta2_min."""
         return [segment.beta2_lo for segment in self.segments]
-
-    def points(self, beta2s: Iterable[RationalLike]) -> list[CodePoint]:
-        """``operating_point`` at each beta2, in input order, which may be any order.
-
-        ``beta2s`` is a non-string iterable, read once (UsageError otherwise).
-        """
-        return [operating_point(self.params, beta2) for beta2 in as_values(beta2s, "beta2s", "beta2 values")]
 
 
 def tradeoff_curve(params: SystemParams) -> TradeoffCurve:
@@ -350,7 +336,7 @@ def tradeoff_curve(params: SystemParams) -> TradeoffCurve:
         _, _, t0, t1 = _piece(params, i)
         slope = Fraction(t0 * kd + t1 * kn, 2 * (k - i) * kd)
         segments.append(TradeoffSegment(beta2_lo=_start(params, i), intercept=M / (k - i), slope=slope))
-    return TradeoffCurve(params=params, segments=tuple(segments))
+    return TradeoffCurve(segments=tuple(segments))
 
 
 def operating_point(params: SystemParams, beta2: RationalLike) -> CodePoint:

@@ -66,6 +66,16 @@ def test_point_msr_uses_symmetric_cost(capsys):
     assert F(values["cost"]) == F(7, 25)  # (c1*d1 + c2*d2) * beta2 at unit costs
 
 
+@pytest.mark.parametrize("kind, cost", [("msr", "5/4"), ("mbr", "1")])
+def test_point_symmetric_kinds_weigh_each_tier_at_kprime_one(capsys, kind, cost):
+    # a symmetric point downloads beta from every helper whatever --kprime says: cost (c1*d1 + c2*d2) * beta
+    code, out, _ = run_cli(["point", "--kind", kind, *A_SMALL_FLAGS, "--c2", "3"], capsys)
+    assert code == 0
+    values = {row[0]: row[1] for row in parse_csv(out)[1]}
+    assert values["cost"] == cost
+    assert F(values["cost"]) == (1 * 2 + 3 * 1) * F(values["beta1"]) == (1 * 2 + 3 * 1) * F(values["beta2"])
+
+
 def test_point_limit_kinds(capsys):
     code, out, _ = run_cli(["point", "--kind", "gmsr-limit", *A_WIDE_FLAGS], capsys)
     assert code == 0
@@ -596,6 +606,32 @@ def test_verify_sweep_mismatch_prints_maxflow_and_reproducer(capsys, monkeypatch
     monkeypatch.undo()
     argv = mismatch.split(" | reproduce: regencost ")[1].split()
     code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out.splitlines()[0].startswith("beta2=3/20 ")
+
+
+def test_verify_sweep_json_mismatch_carries_the_reproducer(capsys, monkeypatch):
+    real = regencost.cutflow.verify_closed_form
+    seen = []
+
+    def first_config_fails(params, beta2_grid=None):
+        seen.append(params)
+        if len(seen) > 1:
+            return real(params, beta2_grid)
+        return [regencost.cutflow.CutReport(F(3, 20), F(1), F(11, 20), F(6, 5), False, False)]
+
+    monkeypatch.setattr(regencost.cutflow, "verify_closed_form", first_config_fails)
+    code, out, _ = run_cli(["verify", "--sweep", "--max-k", "2", "--max-d", "3", "--format", "json"], capsys)
+    assert code == 1
+    first = seen[0]
+    (mismatch,) = json.loads(out)["mismatches"]
+    # the same reproducer as the text mode's MISMATCH line
+    assert mismatch["reproduce"] == cli._sweep_reproducer(first, F(3, 20)) == (
+        f"regencost verify --k {first.k} --d1 {first.d1} --d2 {first.d2} --kprime {first.kprime} --beta2 3/20"
+    )
+    assert mismatch["report"]["beta2"] == "3/20"
+    monkeypatch.undo()
+    code, out, _ = run_cli(mismatch["reproduce"].split()[1:], capsys)
     assert code == 0
     assert out.splitlines()[0].startswith("beta2=3/20 ")
 

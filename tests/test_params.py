@@ -15,8 +15,7 @@ from regencost import (
     Scenario,
     UsageError,
     as_fraction,
-    repair_bandwidth,
-    total_cost,
+    operating_point,
     validate_params,
 )
 from regencost.params import check_tiers, repair_history
@@ -97,31 +96,33 @@ def test_rational_inputs_accepted_as_strings():
 
 def test_total_cost_weights_each_tier():
     params = make_params(5, 8, 6, kprime=2, n=15, cost_cheap=1, cost_expensive=2)
-    assert total_cost(params, 1) == 28  # 1*8*2 + 2*6*1
+    assert params.cost_per_beta2 == 28  # 1*8*2 + 2*6*1
+    assert operating_point(params, 1).cost == 28
 
 
 def test_total_cost_matches_symmetric_weighting_at_kprime_one():
     params = make_params(3, 2, 2, kprime=1, cost_cheap="1/2", cost_expensive=3)
     beta = Fraction(2, 7)
     expected = (params.cost_cheap * 2 + params.cost_expensive * 2) * beta
-    assert total_cost(params, beta) == expected
+    assert operating_point(params, beta).cost == params.cost_per_beta2 * beta == expected
 
 
-@pytest.mark.parametrize("scale", [0, 1, 2, Fraction(5, 3)])
+# beta2 = 0 is below every curve's least beta2, so every scale keeps the point on the curve
+@pytest.mark.parametrize("scale", [1, 2, 3, Fraction(5, 3)])
 def test_total_cost_is_linear_in_beta2(scale):
     params = make_params(4, 3, 3, kprime="7/2", cost_cheap=2, cost_expensive=5)
     base = Fraction(3, 11)
-    assert total_cost(params, base * scale) == total_cost(params, base) * scale
+    assert operating_point(params, base * scale).cost == operating_point(params, base).cost * scale
 
 
 def test_total_cost_rejects_negative_download():
     with pytest.raises(NonPositiveError):
-        total_cost(make_params(2, 2, 1), -1)
+        operating_point(make_params(2, 2, 1), -1)
 
 
 def test_repair_bandwidth_counts_both_tiers():
     params = make_params(2, 2, 1, kprime=2)
-    assert repair_bandwidth(params, Fraction(3, 20)) == Fraction(3, 4)
+    assert operating_point(params, Fraction(3, 20)).gamma == Fraction(3, 4)
     assert params.gamma_per_beta2 == 5
 
 

@@ -1,7 +1,6 @@
 import itertools
 from dataclasses import replace
 from fractions import Fraction
-from random import Random
 
 import pytest
 
@@ -27,7 +26,6 @@ from regencost import (
     mbr_point,
     msr_point,
     operating_point,
-    total_cost,
     tradeoff_curve,
 )
 from regencost import cutflow, tradeoff
@@ -261,8 +259,8 @@ def test_closed_form_does_not_use_the_cut_oracle(monkeypatch):
     for params in SWEEP + RATIONAL:
         curve = tradeoff_curve(params)
         assert gmsr_point(params).beta2 == curve.segments[-1].beta2_lo
-        assert gmbr_point(params).beta2 == curve.beta2_min == beta2_min(params)
         breakpoints = curve.breakpoints()
+        assert gmbr_point(params).beta2 == breakpoints[0] == beta2_min(params)
         for beta2, on_line in zip(breakpoints, _line_alphas(curve, breakpoints)):
             assert operating_point(params, beta2).alpha == alpha_min(params, beta2) == on_line
 
@@ -649,7 +647,7 @@ def test_curve_segments_tile_the_feasible_range():
     for params in SWEEP:
         curve = tradeoff_curve(params)
         assert len(curve.segments) == params.k
-        assert curve.segments[0].beta2_lo == curve.beta2_min
+        assert curve.segments[0].beta2_lo == beta2_min(params)
         last = curve.segments[-1]
         assert last.slope == 0
         assert last.intercept == params.file_size / params.k
@@ -670,11 +668,11 @@ def test_curve_matches_alpha_min_pointwise():
         probes.add(curve.breakpoints()[-1] * 3)
         # either side of each piece start pins alpha_min's ">=" boundary test
         probes.update(b + sign * eps for b in curve.breakpoints() for sign in (-1, 1))
-        probes.discard(curve.beta2_min - eps)
+        probes.discard(beta2_min(params) - eps)
         for beta2, on_line in zip(sorted(probes), _line_alphas(curve, sorted(probes))):
             assert on_line == alpha_min(params, beta2), (params, beta2)
         with pytest.raises(InsufficientRepairBandwidthError):
-            alpha_min(params, curve.beta2_min - eps)
+            alpha_min(params, beta2_min(params) - eps)
 
 
 def test_curve_is_nonincreasing_in_beta2():
@@ -690,17 +688,17 @@ def test_curve_is_nonincreasing_in_beta2():
 
 
 def test_curve_refuses_points_below_feasibility():
-    curve = tradeoff_curve(A_SMALL)
-    assert F(1, 10) < curve.beta2_min
-    for beta2s in ([F(1, 10)], [curve.beta2_min, F(1, 10)]):
-        with pytest.raises(InsufficientRepairBandwidthError):
-            curve.points(beta2s)
+    low = tradeoff_curve(A_SMALL).breakpoints()[0]
+    assert operating_point(A_SMALL, low).beta2 == low
+    assert F(1, 10) < low
+    with pytest.raises(InsufficientRepairBandwidthError, match="below the feasibility threshold 1/8"):
+        operating_point(A_SMALL, F(1, 10))
 
 
 def _line_alphas(curve, beta2s):
     """alpha at each beta2 read off the line of the segment that holds it, intercept - slope * beta2.
 
-    The segment is the last one starting at or below beta2.  ``curve.points`` gives
+    The segment is the last one starting at or below beta2.  ``operating_point`` gives
     ``alpha_min`` itself, so the curve tests read the segments instead, or they would
     compare ``alpha_min`` with itself.
     """
@@ -712,7 +710,7 @@ def _line_alphas(curve, beta2s):
 
 
 def _grid_with_breakpoints(curve, samples):
-    low, high = curve.beta2_min, curve.segments[-1].beta2_lo * 2
+    low, high = curve.breakpoints()[0], curve.breakpoints()[-1] * 2
     step = (high - low) / (samples - 1)
     return sorted({low + step * i for i in range(samples)} | set(curve.breakpoints()))
 
@@ -725,31 +723,18 @@ POINTS_CONFIGS = SWEEP + [
 
 
 def test_curve_points_match_operating_point():
+    # each field against a reference that does not call operating_point: alpha on the segment's
+    # line, and beta1, gamma and cost as chained Fraction products with beta2
     for params in POINTS_CONFIGS:
         curve = tradeoff_curve(params)
         grid = _grid_with_breakpoints(curve, 50)
-        assert curve.points(grid) == [operating_point(params, b) for b in grid]
-
-
-def test_curve_points_keep_input_order():
-    rng = Random(7)
-    for params in (A_WIDE, B_WIDE, *RATIONAL):
-        curve = tradeoff_curve(params)
-        grid = _grid_with_breakpoints(curve, 20)
-        expected = [operating_point(params, b) for b in grid]
-        assert curve.points(grid[::-1]) == expected[::-1]
-        order = list(range(len(grid)))
-        rng.shuffle(order)
-        assert curve.points([grid[i] for i in order]) == [expected[i] for i in order]
-
-
-def test_curve_points_validate_each_beta2():
-    curve = tradeoff_curve(A_SMALL)
-    assert curve.points([]) == []
-    with pytest.raises(InsufficientRepairBandwidthError, match="below the feasibility threshold 1/8"):
-        curve.points([F(1, 5), F(1, 10)])
-    with pytest.raises(NonPositiveError):
-        curve.points([F(1, 5), -1])
+        for beta2, on_line in zip(grid, _line_alphas(curve, grid)):
+            point = operating_point(params, beta2)
+            assert point.alpha == on_line, (params, beta2)
+            assert point.beta1 == params.kprime * beta2
+            assert point.beta2 == beta2
+            assert point.gamma == params.gamma_per_beta2 * beta2
+            assert point.cost == params.cost_per_beta2 * beta2
 
 
 def test_operating_point_is_consistent():
@@ -757,7 +742,7 @@ def test_operating_point_is_consistent():
     assert point.alpha == F(11, 20)
     assert point.beta1 == 2 * point.beta2
     assert point.gamma == 2 * point.beta1 + point.beta2
-    assert point.cost == total_cost(A_SMALL, point.beta2)
+    assert point.cost == A_SMALL.cost_per_beta2 * point.beta2
     assert not point.beta1_exceeds_alpha
 
 

@@ -27,7 +27,7 @@ from regencost import (
     rlnc,
     tradeoff,
 )
-from regencost.params import CodePoint, as_count, repair_bandwidth, repair_history, total_cost, validate_params
+from regencost.params import CodePoint, as_count, repair_history, validate_params
 
 _COUNTS = st.one_of(st.integers(-1, 6), st.booleans(), st.none(), st.just("3"), st.just(2.0))
 _RATIONALS = st.one_of(
@@ -113,7 +113,7 @@ def test_public_calls_raise_only_typed_errors(counts, rationals, params, beta2, 
         _check(point, file_size, k, d1)  # raw k and d
     for call in (tradeoff.beta2_min, tradeoff.tradeoff_curve, tradeoff.gmsr_point, tradeoff.gmbr_point):
         _check(call, params)
-    for call in (tradeoff.alpha_min, tradeoff.operating_point, cutflow.alpha_min_oracle, repair_bandwidth, total_cost):
+    for call in (tradeoff.alpha_min, tradeoff.operating_point, cutflow.alpha_min_oracle):
         _check(call, params, beta2)
     for call in (tradeoff.bandwidth_ratio, tradeoff.cost_ratio, tradeoff.cost_threshold,
                  tradeoff.cost_ratio_limit, tradeoff.grc_limit_point):
@@ -261,8 +261,6 @@ _STATE = rlnc.encode_initial(8, 4, 2, rlnc.GF256, 0, _TRIAL_N_CHEAP)
          "kind must be one of ('gmsr', 'gmbr'), got 'msr'"),
         (lambda: rlnc.run_trial(_TRIAL_PARAMS, 2, 1, 1, 0, helper_mode="worst"), InvalidChoiceError,
          "helper_mode must be one of ('uniform', 'worst-case'), got 'worst'"),
-        (lambda: tradeoff.tradeoff_curve(_P).points(5), UsageError,
-         "beta2s must be an iterable of beta2 values, got int"),
         (lambda: cutflow.verify_closed_form(_P, "12"), UsageError,
          "beta2_grid must be an iterable of beta2 values, got str"),
         (lambda: cutflow.verification_sweep(kprimes=None), UsageError,
@@ -271,7 +269,7 @@ _STATE = rlnc.encode_initial(8, 4, 2, rlnc.GF256, 0, _TRIAL_N_CHEAP)
     ids=["repair_history-rng", "random_history_graph-rng", "repair-rng", "max_flow-graph", "to_edge_list-graph",
          "matrix_rank-field", "encode_initial-field", "repair-state", "can_reconstruct-state",
          "bandwidth_ratio-kind", "cost_ratio-kind", "cost_threshold-kind", "cost_ratio_limit-kind",
-         "grc_limit_point-kind", "run_trial-helper_mode", "points-beta2s", "verify_closed_form-beta2_grid",
+         "grc_limit_point-kind", "run_trial-helper_mode", "verify_closed_form-beta2_grid",
          "verification_sweep-kprimes"],
 )
 def test_each_argument_rule_has_one_wording(call, error, message):
@@ -283,13 +281,10 @@ def test_each_argument_rule_has_one_wording(call, error, message):
 
 def test_negative_beta2_is_refused_in_one_wording():
     params = SystemParams(4, 2, 2, 1)
-    curve = tradeoff.tradeoff_curve(params)
-    for call in (tradeoff.alpha_min, tradeoff.operating_point, cutflow.cut_terms, repair_bandwidth, total_cost):
+    for call in (tradeoff.alpha_min, tradeoff.operating_point, cutflow.cut_terms):
         with pytest.raises(NonPositiveError) as info:
             call(params, -1)
         assert str(info.value) == "beta2 must be nonnegative, got -1", call.__name__
-    with pytest.raises(NonPositiveError, match="^beta2 must be nonnegative, got -1$"):
-        curve.points([-1])
 
 
 def test_usage_error_is_still_a_value_error():
@@ -350,12 +345,10 @@ def test_every_breakpoint_family_refuses_a_non_int_index(index):
         (lambda: cutflow.verify_closed_form(_P, 5), UsageError),
         (lambda: cutflow.verify_closed_form(_P, "12"), UsageError),
         (lambda: cutflow.verify_closed_form(_P, []), NonPositiveError),
-        (lambda: tradeoff.tradeoff_curve(_P).points(5), UsageError),
-        (lambda: tradeoff.tradeoff_curve(_P).points("12"), UsageError),
     ],
     ids=["float-kprime", "str-kprimes", "digit-str-kprimes", "str-max-k", "float-max-d", "bool-max-k",
          "negative-max-d", "zero-max-k", "zero-max-d", "no-kprimes", "int-kprimes",
-         "int-grid", "str-grid", "empty-grid", "int-points", "str-points"],
+         "int-grid", "str-grid", "empty-grid"],
 )
 def test_sweep_helpers_raise_typed_errors(call, error):
     with pytest.raises(error):
