@@ -221,7 +221,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 def _parse_kprime_range(spec: str) -> range:
     low, sep, high = spec.partition("..")
-    if not sep or not low.strip().isdigit() or not high.strip().isdigit():
+    # ASCII digits only: str.isdigit also takes "²", which int() refuses, and "١", which it reads as 1
+    if not sep or not spec.isascii() or not low.strip().isdigit() or not high.strip().isdigit():
         raise ValueError(f"--kprime-range must look like '1..20', got {spec!r}")
     start, stop = int(low), int(high)
     if start < 1 or stop < start:

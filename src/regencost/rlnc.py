@@ -7,10 +7,12 @@ are ``bytes`` handled whole; its rank check eliminates all the rows still
 below the pivots at once, as one ``bytes`` block, and a repair is two
 block products: every helper's sent rows at once, then the newcomer's
 rows from what it received, each one int conversion per coefficient
-column.  A prime field mode (mod 257) keeps int-tuple rows and
-per-element arithmetic to cross-check it.  Each field supplies the draw,
-``product`` and ``rank``; rows stay in the field's own form from draw to
-rank, and ``tuple(row)`` gives the int form of either.
+column.  A prime field mode (mod 257) keeps int-tuple rows and does its
+``%`` arithmetic inline, element by element, to cross-check it.  Each
+field supplies the draw, ``product`` and ``rank``; rows stay in the
+field's own form from draw to rank, and ``tuple(row)`` gives the int form
+of either.  ``ByteField.mul`` and ``ByteField.inv`` are the only scalar
+operations: they keep the log/exp tables out of sight.
 
 Coefficients are drawn in bulk: ``encode_initial`` and each ``repair``
 make one ``field.draw`` for all of their coefficients.  For a
@@ -77,7 +79,6 @@ class ByteField:
 
     order = 256
     polynomial = 0x11D
-    name = "gf256"
 
     def __init__(self) -> None:
         exp = [0] * 510
@@ -98,9 +99,6 @@ class ByteField:
         self.mul_tables = (bytes(256),) + tuple(
             b"\0" + logs.translate(exps[log[c] : log[c] + 256]) for c in range(1, 256)
         )
-
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -198,7 +196,11 @@ class ByteField:
 
 
 class PrimeField:
-    """Integers modulo a prime of at most MAX_PRIME_ORDER."""
+    """Integers modulo a prime of at most MAX_PRIME_ORDER.
+
+    Rows are int tuples; ``product`` and ``rank`` reduce with ``% order``
+    inline, and ``rank`` inverts each pivot with one ``pow``.
+    """
 
     def __init__(self, order: int = 257) -> None:
         if isinstance(order, int) and abs(order) > MAX_PRIME_ORDER:
@@ -208,20 +210,6 @@ class PrimeField:
             raise UsageError(f"order must be a prime int, got {order!r}")
         self.order = order
         self.name = f"p{order}"
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.order
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.order
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.order
-
-    def inv(self, a: int) -> int:
-        if a % self.order == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return pow(a, self.order - 2, self.order)
 
     def draw(self, rng: Random, count: int) -> tuple[int, ...]:
         """``count`` calls of ``rng.randrange(order)``, one at a time: the reference draw."""
@@ -254,18 +242,19 @@ class PrimeField:
         width = len(work[0]) if work else 0
         if any(len(row) != width for row in work):
             raise UsageError(f"rows must all have the first row's length {width}")
+        p = self.order
         rank = 0
         for col in range(width):
             pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
             if pivot is None:
                 continue
             work[rank], work[pivot] = work[pivot], work[rank]
-            lead = self.inv(work[rank][col])
-            work[rank] = [self.mul(lead, v) for v in work[rank]]
+            lead = pow(work[rank][col], p - 2, p)  # the pivot's inverse, by Fermat's little theorem
+            top = work[rank] = [lead * v % p for v in work[rank]]
             for r in range(rank + 1, len(work)):
                 factor = work[r][col]
                 if factor:
-                    work[r] = [self.sub(v, self.mul(factor, p)) for v, p in zip(work[r], work[rank])]
+                    work[r] = [(v - factor * t) % p for v, t in zip(work[r], top)]
             rank += 1
             if rank == len(work):
                 break

@@ -468,6 +468,13 @@ def test_ratio_rejects_bad_ranges(capsys):
         )
         assert code == 2
         assert "--kprime-range" in err
+    # "²" and "١" are digits to str.isdigit, and int() reads "١" as 1: only ASCII digits are a range
+    for spec in ("1..²", "²..3", "١..3"):
+        code, _, err = run_cli(
+            ["ratio", "--kind", "msr", "--kprime-range", spec, *A_WIDE_FLAGS], capsys
+        )
+        assert code == 2
+        assert f"--kprime-range must look like '1..20', got {spec!r}" in err
 
 
 def test_threshold_rows(capsys):
@@ -691,8 +698,14 @@ def test_simulate_json_is_reproducible(capsys):
              "--seed", "3", "--field", "p257", "--helper-mode", "worst-case"],
             "e8d752c1437aeff46a0185f7e17668652045c1553ef7bce1592270b8f35e73cd",
         ),
+        (
+            # config A over p257: 60-column rank checks, one of the 10 failing by field size
+            [*A_WIDE_FLAGS, "--M", "60", "--alpha-sym", "12", "--beta2-sym", "1", "--failures", "10",
+             "--trials", "2", "--max-subsets", "5", "--seed", "1", "--field", "p257"],
+            "c0b458c833a288b54c28f91d6f95c3fa5aba28b55e84e5e0e3d6ab53aed19d5b",
+        ),
     ],
-    ids=["gf256", "p257-worst-case"],
+    ids=["gf256", "p257-worst-case", "p257-config-a"],
 )
 def test_simulate_json_matches_frozen_digest(flags, digest, capsys):
     # digests of the seeded JSON record, frozen so a change of output between commits shows

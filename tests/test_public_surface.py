@@ -1,9 +1,13 @@
-"""The names ``regencost`` exports, and README's library quick start run as written."""
+"""The names ``regencost`` exports, and README's library quick start and command-line examples run as written."""
 
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
 import regencost
+from regencost.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -23,3 +27,22 @@ def test_readme_quick_start_runs_and_its_values_hold():
     assert [value for _, value in stated] == ["Fraction(1, 5)", "Fraction(11, 35)"]
     for expr, value in stated:
         assert eval(expr, namespace) == eval(value, namespace), expr
+
+
+# each fenced block that starts with "$ regencost": the command line, then what it prints
+CLI_EXAMPLES = re.findall(r"^```\n\$ (regencost [^\n]*)\n(.*?)^```", README.read_text(), re.S | re.M)
+
+
+def test_readme_has_one_cli_example_per_documented_command():
+    assert [command.split()[1] for command, _ in CLI_EXAMPLES] == [
+        "point", "curve", "ratio", "threshold", "verify", "simulate"
+    ]
+
+
+@pytest.mark.parametrize("command, printed", CLI_EXAMPLES, ids=[command.split()[1] for command, _ in CLI_EXAMPLES])
+def test_readme_cli_example_prints_what_it_shows(command, printed, capsys, monkeypatch):
+    monkeypatch.delenv("REGEN_SEED", raising=False)  # simulate's seed is then 0, as in the example
+    assert main(shlex.split(command)[1:]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.replace("\r\n", "\n") == printed
+    assert captured.err == ""

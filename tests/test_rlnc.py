@@ -41,7 +41,7 @@ F = Fraction
 def test_bytefield_known_products():
     assert GF256.mul(2, 128) == 29  # wraps through the reduction polynomial
     assert GF256.mul(0, 77) == 0
-    assert GF256.add(0xA5, 0xA5) == 0  # characteristic two
+    assert 0xA5 ^ 0xA5 == 0  # characteristic two: addition is xor
 
 
 def test_bytefield_inverses_exhaustive():
@@ -74,35 +74,12 @@ def test_bytefield_axioms_sampled():
     for _ in range(300):
         a, b, c = (rng.randrange(256) for _ in range(3))
         assert GF256.mul(a, b) == GF256.mul(b, a)
-        assert GF256.add(a, b) == GF256.add(b, a)
+        assert a ^ b == b ^ a
         assert GF256.mul(a, GF256.mul(b, c)) == GF256.mul(GF256.mul(a, b), c)
-        assert GF256.mul(a, GF256.add(b, c)) == GF256.add(GF256.mul(a, b), GF256.mul(a, c))
-        assert GF256.add(GF256.add(a, b), b) == a  # each element is its own negative
+        assert GF256.mul(a, b ^ c) == GF256.mul(a, b) ^ GF256.mul(a, c)
+        assert (a ^ b) ^ b == a  # each element is its own negative
         if b:
             assert GF256.mul(GF256.mul(a, b), GF256.inv(b)) == a
-
-
-def test_primefield_axioms_sampled():
-    field = PrimeField(257)
-    rng = Random(1)
-    for _ in range(300):
-        a, b, c = (rng.randrange(257) for _ in range(3))
-        assert field.mul(a, b) == field.mul(b, a)
-        assert field.mul(a, field.mul(b, c)) == field.mul(field.mul(a, b), c)
-        assert field.mul(a, field.add(b, c)) == field.add(field.mul(a, b), field.mul(a, c))
-        assert field.sub(field.add(a, b), b) == a
-        if b % 257:
-            assert field.mul(field.mul(a, b), field.inv(b)) == a
-
-
-def test_primefield_inverses_small_exhaustive():
-    field = PrimeField(7)
-    for a in range(1, 7):
-        assert field.mul(a, field.inv(a)) == 1
-    with pytest.raises(ZeroDivisionError):
-        field.inv(0)
-    with pytest.raises(ZeroDivisionError):
-        PrimeField(257).inv(514)  # congruent to zero
 
 
 def test_primefield_rejects_composite_order():
@@ -210,6 +187,41 @@ def test_matrix_rank_field_sensitivity():
     assert matrix_rank(rows, PrimeField(257)) == 3
 
 
+def _rank_r_matrix(rng, p, height, width, r, zero_rows, zero_cols):
+    """A·B mod p, shuffled, with zero rows and columns mixed in: its rank is exactly r.
+
+    A (height x r) starts with the r x r identity and B (r x width) with it
+    too, so A is one-to-one and B onto, in any field: no elimination is
+    needed to know the rank.
+    """
+    a = [[int(i == j) for j in range(r)] for i in range(r)]
+    a += [[rng.randrange(p) for _ in range(r)] for _ in range(height - r)]
+    b = [[int(i == j) for j in range(r)] + [rng.randrange(p) for _ in range(width - r)] for i in range(r)]
+    columns = list(zip(*b)) if b else [()] * width
+    rows = [[sum(x * y for x, y in zip(row, column)) % p for column in columns] + [0] * zero_cols for row in a]
+    rows += [[0] * (width + zero_cols) for _ in range(zero_rows)]
+    order = list(range(width + zero_cols))
+    rng.shuffle(order)
+    rng.shuffle(rows)
+    return [tuple(row[c] for c in order) for row in rows]
+
+
+@pytest.mark.parametrize("order", [2, 257, MAX_PRIME_ORDER], ids=["p2", "p257", "p2^31-1"])
+@pytest.mark.parametrize(
+    "height,width,r,zero_rows,zero_cols",
+    [(6, 6, 6, 0, 0), (8, 7, 3, 2, 1), (4, 12, 4, 0, 0), (4, 12, 2, 1, 2), (12, 4, 4, 0, 0), (12, 4, 3, 2, 1),
+     (1, 9, 1, 0, 2), (9, 1, 1, 2, 0), (5, 4, 0, 1, 1), (1, 6, 0, 0, 0), (30, 30, 28, 2, 2)],
+    ids=["full", "deficient", "wide-full", "wide-deficient", "tall-full", "tall-deficient", "1xw", "hx1",
+         "rank-0", "1xw-rank-0", "square-deficient"],
+)
+def test_primefield_rank_of_matrices_of_known_rank(order, height, width, r, zero_rows, zero_cols):
+    rng = Random(order * 1000 + height * 50 + width)
+    for _ in range(5):
+        rows = _rank_r_matrix(rng, order, height, width, r, zero_rows, zero_cols)
+        assert len(rows) == height + zero_rows and all(len(row) == width + zero_cols for row in rows)
+        assert matrix_rank(rows, PrimeField(order)) == r
+
+
 def test_matrix_rank_refuses_entries_outside_the_field():
     for rows, field in (([[300]], GF256), ([[-1]], GF256), ([[257]], PrimeField(257)), ([[2]], PrimeField(2)),
                         ([[-1]], PrimeField(257)), ([[1.0]], GF256), ([[1.0]], PrimeField(257)),
@@ -244,12 +256,18 @@ def _scalar_rank(rows):
     return rank
 
 
+def _scalar_add_multiple(field, out, coeff, row):
+    """``out + coeff * row`` element by element: xor and ``GF256.mul`` on GF(256), ``%`` on a prime field."""
+    if field is GF256:
+        return [v ^ GF256.mul(coeff, x) for v, x in zip(out, row)]
+    return [(v + coeff * x) % field.order for v, x in zip(out, row)]
+
+
 def _scalar_combination(rows, width, rng, field=GF256):
     """Reference random combination: one ``randrange(order)`` per row, per-element products."""
     out = [0] * width
     for row in rows:
-        coeff = rng.randrange(field.order)
-        out = [field.add(v, field.mul(coeff, x)) for v, x in zip(out, row)]
+        out = _scalar_add_multiple(field, out, rng.randrange(field.order), row)
     return tuple(out)
 
 
@@ -476,7 +494,7 @@ def test_product_matches_per_element_combinations(field):
         for r, rows in enumerate(sources):
             row = [0] * width
             for source, coeff in zip(rows, coeffs[r * m : (r + 1) * m]):
-                row = [field.add(v, field.mul(coeff, x)) for v, x in zip(row, source)]
+                row = _scalar_add_multiple(field, row, coeff, source)
             out.append(tuple(row))
         return out
 
