@@ -60,6 +60,8 @@ _FIGURE_KPRIMES = range(1, 21)
 
 # largest curve --samples and ratio --kprime-range length; the rows are built in memory before any prints
 _MAX_SAMPLES = 100_000
+# most digits in a --kprime-range bound: int() refuses more than the interpreter's limit, which can be as low as 640
+_MAX_BOUND_DIGITS = 640
 
 # smallest positive normal float; below it a float's precision falls off, to none under about 5e-324
 _FLOAT_MIN = sys.float_info.min
@@ -155,13 +157,11 @@ def _params_from_args(args: argparse.Namespace) -> SystemParams:
 
 
 def _point_for_kind(params: SystemParams, kind: str) -> CodePoint:
-    if kind in ("msr", "mbr"):
-        builder = tradeoff.msr_point if kind == "msr" else tradeoff.mbr_point
-        point = builder(params.file_size, params.k, params.d)
-        return replace(point, cost=replace(params, kprime=Fraction(1)).cost_per_beta2 * point.beta2)
-    if kind in ("gmsr", "gmbr"):
-        return tradeoff.gmsr_point(params) if kind == "gmsr" else tradeoff.gmbr_point(params)
-    return tradeoff.grc_limit_point(params, kind.removesuffix("-limit"))
+    if kind.endswith("-limit"):
+        return tradeoff.grc_limit_point(params, kind.removesuffix("-limit"))
+    builders = {"msr": tradeoff.msr_point, "mbr": tradeoff.mbr_point,
+                "gmsr": tradeoff.gmsr_point, "gmbr": tradeoff.gmbr_point}
+    return builders[kind](params)
 
 
 def cmd_point(args: argparse.Namespace) -> int:
@@ -224,6 +224,9 @@ def _parse_kprime_range(spec: str) -> range:
     # ASCII digits only: str.isdigit also takes "²", which int() refuses, and "١", which it reads as 1
     if not sep or not spec.isascii() or not low.strip().isdigit() or not high.strip().isdigit():
         raise ValueError(f"--kprime-range must look like '1..20', got {spec!r}")
+    longest = max(len(low.strip()), len(high.strip()))
+    if longest > _MAX_BOUND_DIGITS:
+        raise ValueError(f"--kprime-range bounds must have at most {_MAX_BOUND_DIGITS} digits, got {longest}")
     start, stop = int(low), int(high)
     if start < 1 or stop < start:
         raise ValueError(f"--kprime-range must satisfy 1 <= low <= high, got {spec!r}")

@@ -287,17 +287,14 @@ def check_tiers(cheap: Iterable[int], expensive: Iterable[int], n_cheap: int) ->
 
 @dataclass(frozen=True)
 class CodePoint:
-    """One operating point: per-node storage alpha and per-helper downloads.
-
-    ``cost`` is None when the point was derived without cost information
-    (the single-tier extremal points take only file size, k, and d).
-    """
+    """One operating point: per-node storage alpha, per-helper downloads, and the repair's
+    bandwidth gamma and download cost (for a symmetric point, its cost at kprime = 1)."""
 
     alpha: Fraction
     beta1: Fraction
     beta2: Fraction
     gamma: Fraction
-    cost: Fraction | None = None
+    cost: Fraction
 
     @property
     def beta1_exceeds_alpha(self) -> bool:

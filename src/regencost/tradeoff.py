@@ -3,7 +3,7 @@
 The minimum per-node storage alpha_min(beta2) is piecewise linear in the
 expensive-tier download beta2, with exact rational breakpoints.  This
 module evaluates that curve, its extremal points (minimum-storage and
-minimum-bandwidth, single-tier and two-tier), and the bandwidth/cost
+minimum-bandwidth, symmetric and two-tier), and the bandwidth/cost
 ratios comparing two-tier repair against symmetric repair at the same
 total helper count d = d1 + d2.
 
@@ -16,11 +16,12 @@ its two ends (the two-tier extremal points, piece 0 and piece k-1) read it.
 is the only code that builds a point on the curve.  ``TradeoffCurve`` is the
 curve's segments alone: a caller that wants points calls ``operating_point`` at
 each beta2.
-``_single_tier`` gives the symmetric points' beta = 2M/S, and the kprime ->
-infinity limit points are those points at d = d1.  The comparisons read S and
-an end's c0 and c1: beta2 over beta is S / (c0 + c1*kprime), the cost-ratio
-limit is its quotient of leading coefficients in kprime, and the break-even
-cost threshold is d1*c0 / (d2*c1).
+Symmetric repair is two-tier repair at kprime = 1, where beta1 = beta2: its
+extremal points are the two-tier ones there, and the kprime -> infinity limit
+points are those at d = d1 with beta2 = 0.  The comparisons read an end piece's
+c0 and c1, whose sum S gives the symmetric point's beta = 2M/S: beta2 over beta
+is S / (c0 + c1*kprime), the cost-ratio limit is its quotient of leading
+coefficients in kprime, and the break-even cost threshold is d1*c0 / (d2*c1).
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from .errors import (
     DegenerateConfigurationError,
     IndexOutOfRangeError,
     InsufficientRepairBandwidthError,
-    InvalidDegreeError,
-    NonPositiveError,
     NotApplicableError,
     UsageError,
 )
@@ -43,46 +42,11 @@ from .params import (
     Scenario,
     SystemParams,
     as_choice,
-    as_count,
-    as_fraction,
     as_nonnegative,
     exact_str,
 )
 
 _POINT_KINDS = ("msr", "mbr")
-
-
-# ---------------------------------------------------------------------------
-# single-tier extremal points (uniform download beta = gamma / d)
-
-
-def msr_point(file_size: RationalLike, k: int, d: int) -> CodePoint:
-    """Minimum-storage point for symmetric repair: alpha = M/k, gamma = M*d/(k*(d-k+1))."""
-    return _symmetric_point("msr", file_size, k, d)
-
-
-def mbr_point(file_size: RationalLike, k: int, d: int) -> CodePoint:
-    """Minimum-bandwidth point for symmetric repair: alpha = gamma = 2*M*d/(k*(2*d-k+1))."""
-    return _symmetric_point("mbr", file_size, k, d)
-
-
-def _symmetric_point(kind: str, file_size: RationalLike, k: int, d: int) -> CodePoint:
-    """The single-tier ``kind`` point: beta = 2M/S and gamma = d*beta; alpha is M/k (msr) or gamma (mbr)."""
-    M = as_fraction(file_size, "file_size")
-    if M <= 0:
-        raise NonPositiveError(f"file_size must be positive, got {exact_str(M)}")
-    k = as_count(k, "k", minimum=1)
-    d = as_count(d, "d")
-    if d < k:
-        raise InvalidDegreeError(f"d must reach k, got d={exact_str(d)}, k={exact_str(k)}")
-    beta = Fraction(2 * M.numerator, M.denominator * _single_tier(kind, k, d))
-    gamma = d * beta
-    return CodePoint(alpha=M / k if kind == "msr" else gamma, beta1=beta, beta2=beta, gamma=gamma)
-
-
-def _single_tier(kind: str, k: int, d: int) -> int:
-    """S of the symmetric ``kind`` point with k and d, whose uniform download is beta = 2M/S."""
-    return 2 * k * (d - k + 1) if kind == "msr" else k * (2 * d - k + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +166,7 @@ def beta2_min(params: SystemParams) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# two-tier extremal points
+# extremal points: two-tier, and symmetric as two-tier at kprime = 1
 
 
 def gmsr_point(params: SystemParams) -> CodePoint:
@@ -215,19 +179,29 @@ def gmbr_point(params: SystemParams) -> CodePoint:
     return operating_point(params, beta2_min(params))
 
 
+def msr_point(params: SystemParams) -> CodePoint:
+    """Minimum-storage point for symmetric repair at the same d: ``gmsr_point`` at kprime = 1."""
+    return gmsr_point(replace(params, kprime=Fraction(1)))
+
+
+def mbr_point(params: SystemParams) -> CodePoint:
+    """Minimum-bandwidth point for symmetric repair at the same d: ``gmbr_point`` at kprime = 1."""
+    return gmbr_point(replace(params, kprime=Fraction(1)))
+
+
 def grc_limit_point(params: SystemParams, kind: str) -> CodePoint:
     """Extremal point in the kprime -> infinity limit, where beta2 -> 0.
 
     Only Scenario A has a finite limit: repair degenerates to d1 cheap
-    helpers, so the point is the single-tier MSR or MBR point at d = d1,
-    with beta2 = 0 and only cheap downloads paid for.  kind is "gmsr" or
-    "gmbr" (InvalidChoiceError otherwise).
+    helpers, so the point is the symmetric MSR or MBR point of d1 helpers
+    (d2 = 0) with its beta2 set to 0: only cheap downloads are paid for.
+    kind is "gmsr" or "gmbr" (InvalidChoiceError otherwise).
     """
     as_choice(kind, ("gmsr", "gmbr"), "kind")
     if params.scenario is not Scenario.A:
         raise NotApplicableError("the kprime -> infinity limit is finite only when d1 >= k")
-    point = _symmetric_point(kind[1:], params.file_size, params.k, params.d1)
-    return replace(point, beta2=Fraction(0), cost=params.cost_cheap * point.gamma)
+    symmetric = msr_point if kind == "gmsr" else mbr_point
+    return replace(symmetric(replace(params, d2=0)), beta2=Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +209,11 @@ def grc_limit_point(params: SystemParams, kind: str) -> CodePoint:
 
 
 def _end(params: SystemParams, kind: str) -> tuple[int, int, int]:
-    """``(c0, c1, S)``: the two-tier ``kind`` extremal starts at beta2 = 2M / (c0 + c1*kprime), the
-    symmetric one at beta = 2M/S.  c0 and c1 are those of piece 0 (msr) or piece k-1 (mbr); a
-    ``kind`` other than "msr" or "mbr" raises InvalidChoiceError."""
+    """``(c0, c1, S)``: the two-tier ``kind`` extremal starts at beta2 = 2M / (c0 + c1*kprime), and the
+    symmetric one, the same piece at kprime = 1, at beta = 2M/S with S = c0 + c1.  c0 and c1 are those
+    of piece 0 (msr) or piece k-1 (mbr); a ``kind`` other than "msr" or "mbr" raises InvalidChoiceError."""
     c0, c1, _, _ = _piece(params, 0 if as_choice(kind, _POINT_KINDS, "kind") == "msr" else params.k - 1)
-    return c0, c1, _single_tier(kind, params.k, params.d)
+    return c0, c1, c0 + c1
 
 
 def bandwidth_ratio(params: SystemParams, kind: str) -> Fraction:
@@ -342,9 +316,9 @@ def tradeoff_curve(params: SystemParams) -> TradeoffCurve:
 def operating_point(params: SystemParams, beta2: RationalLike) -> CodePoint:
     """CodePoint on the minimum-storage curve at the given beta2.
 
-    The only code that builds a point on the curve.  Each field is one ``Fraction`` from
-    integer parts: alpha from ``alpha_min``, and beta1, gamma and cost as beta2 = p/q times
-    kprime, ``gamma_per_beta2`` and ``cost_per_beta2``.
+    The only code that builds a ``CodePoint``, the symmetric and limit points included.  Each
+    field is one ``Fraction`` from integer parts: alpha from ``alpha_min``, and beta1, gamma and
+    cost as beta2 = p/q times kprime, ``gamma_per_beta2`` and ``cost_per_beta2``.
     """
     b2 = as_nonnegative(beta2, "beta2")
     p, q = b2.numerator, b2.denominator

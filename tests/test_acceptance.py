@@ -11,7 +11,7 @@ from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
-from conftest import make_params
+from conftest import dimakis_point, make_params
 from regencost import (
     NotApplicableError,
     alpha_min,
@@ -22,8 +22,6 @@ from regencost import (
     cost_threshold,
     gmbr_point,
     gmsr_point,
-    mbr_point,
-    msr_point,
     tradeoff_curve,
 )
 from regencost.cutflow import (
@@ -91,13 +89,8 @@ def test_acceptance_homogeneous_reduction():
     problems = []
     for params in verification_sweep(kprimes=(1,)):
         k, d, M = params.k, params.d, params.file_size
-        sym_msr = msr_point(M, k, d)
-        sym_mbr = mbr_point(M, k, d)
-        tier_msr = gmsr_point(params)
-        tier_mbr = gmbr_point(params)
-        for label, tier, sym in (("msr", tier_msr, sym_msr), ("mbr", tier_mbr, sym_mbr)):
-            fields = ("alpha", "beta1", "beta2", "gamma")
-            if any(getattr(tier, f) != getattr(sym, f) for f in fields):
+        for label, tier in (("msr", gmsr_point(params)), ("mbr", gmbr_point(params))):
+            if tier != dimakis_point(params, label):
                 problems.append(f"{label} mismatch at k={k} d1={params.d1} d2={params.d2}")
         curve = tradeoff_curve(params)
         grid = set(curve.breakpoints())

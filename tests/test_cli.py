@@ -13,7 +13,7 @@ import pytest
 import regencost.cutflow
 import regencost.tradeoff
 from regencost import SystemParams, cli
-from regencost.cli import _MAX_SAMPLES, build_parser, main
+from regencost.cli import _MAX_BOUND_DIGITS, _MAX_SAMPLES, build_parser, main
 
 F = Fraction
 
@@ -475,6 +475,13 @@ def test_ratio_rejects_bad_ranges(capsys):
         )
         assert code == 2
         assert f"--kprime-range must look like '1..20', got {spec!r}" in err
+    # int() refuses a numeral past the interpreter's digit limit with a message of its own
+    for spec in ("1.." + "9" * 5000, "9" * 5000 + "..1", "1.." + "0" * 4999 + "5"):
+        code, out, err = run_cli(
+            ["ratio", "--kind", "msr", "--kprime-range", spec, *A_WIDE_FLAGS], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: Usage: --kprime-range bounds must have at most {_MAX_BOUND_DIGITS} digits, got 5000\n"
 
 
 def test_threshold_rows(capsys):

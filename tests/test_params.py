@@ -67,6 +67,9 @@ def test_non_integer_counts_rejected():
         validate_params(6, 2, "2", 1)  # type: ignore[arg-type]
     with pytest.raises(InvalidDegreeError):
         validate_params(6, True, 2, 1)
+    for k, d2 in ((2.0, 1), (None, 1), (2, 1.0), (2, None)):
+        with pytest.raises(InvalidDegreeError, match="must be an integer, got"):
+            validate_params(6, k, 2, d2)  # type: ignore[arg-type]
 
 
 def test_cost_order_enforced():
@@ -139,8 +142,8 @@ def test_as_fraction_rejects_inexact_or_malformed(bad):
 
 
 def test_code_point_flags_beta1_above_alpha():
-    low = CodePoint(alpha=Fraction(2), beta1=Fraction(1), beta2=Fraction(1), gamma=Fraction(3))
-    high = CodePoint(alpha=Fraction(1), beta1=Fraction(2), beta2=Fraction(1), gamma=Fraction(5))
+    low = CodePoint(alpha=Fraction(2), beta1=Fraction(1), beta2=Fraction(1), gamma=Fraction(3), cost=Fraction(3))
+    high = CodePoint(alpha=Fraction(1), beta1=Fraction(2), beta2=Fraction(1), gamma=Fraction(5), cost=Fraction(5))
     assert not low.beta1_exceeds_alpha
     assert high.beta1_exceeds_alpha
 

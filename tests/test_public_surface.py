@@ -24,7 +24,7 @@ def test_readme_quick_start_runs_and_its_values_hold():
     exec(block, namespace)
     # a line "expression  # Fraction(p, q)" states the value the expression has
     stated = re.findall(r"^(.+?)\s+#\s*(Fraction\(.*\))\s*$", block, re.M)
-    assert [value for _, value in stated] == ["Fraction(1, 5)", "Fraction(11, 35)"]
+    assert [value for _, value in stated] == ["Fraction(1, 5)", "Fraction(11, 35)", "Fraction(7, 25)"]
     for expr, value in stated:
         assert eval(expr, namespace) == eval(value, namespace), expr
 

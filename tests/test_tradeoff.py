@@ -4,14 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_params
+from conftest import dimakis_limit_point, dimakis_point, make_params
 from regencost import (
     DegenerateConfigurationError,
     IndexOutOfRangeError,
     InsufficientRepairBandwidthError,
     InvalidChoiceError,
-    InvalidDegreeError,
-    NonIntegerDownloadError,
     NonPositiveError,
     NotApplicableError,
     alpha_min,
@@ -48,43 +46,25 @@ RATIONAL = [
 
 
 # ---------------------------------------------------------------------------
-# single-tier extremal points
+# symmetric extremal points
 
 
 def test_msr_point_values():
-    point = msr_point(1, 5, 14)
+    point = msr_point(replace(A_WIDE, cost_expensive=F(3)))
     assert (point.alpha, point.gamma) == (F(1, 5), F(7, 25))
     assert point.beta1 == point.beta2 == F(7, 25) / 14
-    assert point.cost is None
+    assert point.cost == (1 * 8 + 3 * 6) * point.beta2 == F(13, 25)  # symmetric repair's cost
 
 
 def test_mbr_point_values():
-    point = mbr_point(1, 5, 14)
+    point = mbr_point(A_WIDE)
     assert point.alpha == point.gamma == F(7, 30)
 
 
 def test_single_tier_degenerate_edges():
-    assert msr_point(1, 1, 1).alpha == 1
-    assert msr_point(1, 3, 3).gamma == 1  # d = k forces full-file repair traffic
-    assert mbr_point(1, 5, 5).gamma == F(1, 3)
-
-
-def test_single_tier_validation():
-    with pytest.raises(InvalidDegreeError):
-        msr_point(1, 5, 4)
-    with pytest.raises(NonPositiveError):
-        mbr_point(0, 2, 3)
-    with pytest.raises(NonPositiveError):
-        msr_point(1, 0, 3)
-
-
-@pytest.mark.parametrize("point", [msr_point, mbr_point])
-def test_single_tier_k_and_d_must_be_whole_counts(point):
-    for k, d in (("2", 3), (2.0, 3), (2, 3.0), (True, 3), (2, None)):
-        with pytest.raises(NonIntegerDownloadError, match="must be an integer count"):
-            point(1, k, d)
-    with pytest.raises(NonPositiveError, match="k must be at least 1"):
-        point(1, 0, 3)
+    assert msr_point(make_params(1, 1, 0)).alpha == 1
+    assert msr_point(make_params(3, 2, 1, kprime=2)).gamma == 1  # d = k forces full-file repair traffic
+    assert mbr_point(make_params(5, 2, 3, kprime=3)).gamma == F(1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -382,23 +362,12 @@ def test_gmbr_sits_at_the_feasibility_edge():
 
 
 def test_two_tier_points_reduce_to_single_tier_at_kprime_one():
-    for params in SWEEP:
-        if params.kprime != 1:
-            continue
-        sym_msr = msr_point(params.file_size, params.k, params.d)
-        sym_mbr = mbr_point(params.file_size, params.k, params.d)
-        tier_msr = gmsr_point(params)
-        tier_mbr = gmbr_point(params)
-        assert (tier_msr.alpha, tier_msr.gamma, tier_msr.beta2) == (
-            sym_msr.alpha,
-            sym_msr.gamma,
-            sym_msr.beta2,
-        )
-        assert (tier_mbr.alpha, tier_mbr.gamma, tier_mbr.beta2) == (
-            sym_mbr.alpha,
-            sym_mbr.gamma,
-            sym_mbr.beta2,
-        )
+    # every field, cost included: the symmetric point at any kprime is the two-tier one at kprime = 1
+    for base, (c1, c2) in itertools.product(SWEEP + RATIONAL, ((1, 1), (2, 5), (0, 3), (F(2, 3), F(7, 4)))):
+        params = replace(base, cost_cheap=F(c1), cost_expensive=F(c2))
+        at_one = replace(params, kprime=F(1))
+        assert gmsr_point(at_one) == msr_point(params) == dimakis_point(params, "msr"), params
+        assert gmbr_point(at_one) == mbr_point(params) == dimakis_point(params, "mbr"), params
 
 
 def test_limit_points_values():
@@ -443,8 +412,7 @@ def test_bandwidth_ratio_is_one_at_kprime_one():
 def test_bandwidth_ratio_matches_gamma_quotient():
     # dual route: the printed formula against gammas computed independently
     for params in SWEEP + RATIONAL:
-        sym_msr = msr_point(params.file_size, params.k, params.d)
-        sym_mbr = mbr_point(params.file_size, params.k, params.d)
+        sym_msr, sym_mbr = dimakis_point(params, "msr"), dimakis_point(params, "mbr")
         assert bandwidth_ratio(params, "msr") == gmsr_point(params).gamma / sym_msr.gamma
         assert bandwidth_ratio(params, "mbr") == gmbr_point(params).gamma / sym_mbr.gamma
 
@@ -460,12 +428,8 @@ def test_cost_ratio_matches_cost_quotient():
     # whole costs, then costs whose denominators differ from each other and from kprime's
     for base, (c1, c2) in itertools.product(SWEEP + RATIONAL, ((2, 5), (F(2, 3), F(7, 4)))):
         params = replace(base, cost_cheap=c1, cost_expensive=c2)
-        sym = msr_point(params.file_size, params.k, params.d)
-        sym_cost = (params.cost_cheap * params.d1 + params.cost_expensive * params.d2) * sym.beta2
-        assert cost_ratio(params, "msr") == gmsr_point(params).cost / sym_cost
-        sym = mbr_point(params.file_size, params.k, params.d)
-        sym_cost = (params.cost_cheap * params.d1 + params.cost_expensive * params.d2) * sym.beta2
-        assert cost_ratio(params, "mbr") == gmbr_point(params).cost / sym_cost
+        assert cost_ratio(params, "msr") == gmsr_point(params).cost / dimakis_point(params, "msr").cost
+        assert cost_ratio(params, "mbr") == gmbr_point(params).cost / dimakis_point(params, "mbr").cost
 
 
 def test_cost_ratio_is_one_at_kprime_one():
@@ -516,21 +480,21 @@ def test_cost_ratio_is_one_at_every_threshold_and_at_kprime_one():
 
 
 def test_scenario_a_cost_ratio_limit_is_the_limit_point_cost():
-    # the kprime -> inf limit of eta against the cost of grc_limit_point (single-tier at d = d1)
-    # over the symmetric point's cost at the full d
+    # grc_limit_point against the symmetric point at d = d1, then the kprime -> inf limit of eta
+    # against its cost over the symmetric point's cost at the full d
     checked = 0
     for base, (c1, c2), kind in itertools.product(
         SWEEP + RATIONAL, ((1, 1), (1, 2), (0, 3), (F(2, 3), F(7, 4))), ("msr", "mbr")
     ):
         params = replace(base, cost_cheap=F(c1), cost_expensive=F(c2))
-        symmetric_cost = params.cost_cheap * params.d1 + params.cost_expensive * params.d2
-        if params.d1 < params.k or symmetric_cost == 0:
+        if params.d1 < params.k:
             continue
-        single_tier = msr_point if kind == "msr" else mbr_point
-        sym = single_tier(params.file_size, params.k, params.d)
-        limit_cost = grc_limit_point(params, "g" + kind).cost
-        assert cost_ratio_limit(params, kind) == limit_cost / (sym.beta2 * symmetric_cost), (params, kind)
-        checked += 1
+        limit = grc_limit_point(params, "g" + kind)
+        assert limit == dimakis_limit_point(params, kind), (params, kind)
+        symmetric_cost = dimakis_point(params, kind).cost
+        if symmetric_cost:
+            assert cost_ratio_limit(params, kind) == limit.cost / symmetric_cost, (params, kind)
+            checked += 1
     assert checked > 0
 
 
@@ -783,5 +747,5 @@ def test_empty_expensive_tier_matches_single_tier_curve():
         flat = make_params(3, 4, 0, kprime=1)
         for beta1 in (F(1, 9), F(1, 7), F(1, 5), F(1, 2)):
             assert alpha_min(tiered, beta1 / kprime) == alpha_min(flat, beta1)
-        assert gmsr_point(tiered).gamma == msr_point(1, 3, 4).gamma
-        assert gmbr_point(tiered).gamma == mbr_point(1, 3, 4).gamma
+        assert gmsr_point(tiered).gamma == dimakis_point(flat, "msr").gamma
+        assert gmbr_point(tiered).gamma == dimakis_point(flat, "mbr").gamma

@@ -108,10 +108,8 @@ def test_public_calls_raise_only_typed_errors(counts, rationals, params, beta2, 
     kprime, file_size, cost_cheap, cost_expensive = rationals
     _check(validate_params, n, k, d1, d2, kprime, file_size, cost_cheap, cost_expensive)
     _check(validate_params, *astuple(params))
-    for point in (tradeoff.msr_point, tradeoff.mbr_point):
-        _check(point, file_size, params.k, params.d)
-        _check(point, file_size, k, d1)  # raw k and d
-    for call in (tradeoff.beta2_min, tradeoff.tradeoff_curve, tradeoff.gmsr_point, tradeoff.gmbr_point):
+    for call in (tradeoff.beta2_min, tradeoff.tradeoff_curve, tradeoff.gmsr_point, tradeoff.gmbr_point,
+                 tradeoff.msr_point, tradeoff.mbr_point):
         _check(call, params)
     for call in (tradeoff.alpha_min, tradeoff.operating_point, cutflow.alpha_min_oracle):
         _check(call, params, beta2)
@@ -307,11 +305,9 @@ _P = SystemParams(4, 2, 2, 1)
         (lambda: tradeoff.breakpoint_a(_P, "1"), UsageError),
         (lambda: tradeoff.breakpoint_a(_P, 1.0), UsageError),
         (lambda: tradeoff.breakpoint_a(_P, True), UsageError),
-        (lambda: tradeoff.msr_point(1, _HUGE, 1), InvalidDegreeError),
         (lambda: repair_history(_P, _HUGE, 1, Random(0)), InvalidConstructionError),
     ],
-    ids=["huge-count", "huge-k", "huge-index", "str-index", "float-index", "bool-index", "huge-msr-k",
-         "huge-n-cheap"],
+    ids=["huge-count", "huge-k", "huge-index", "str-index", "float-index", "bool-index", "huge-n-cheap"],
 )
 def test_huge_ints_and_wrong_index_types_raise_typed_errors(call, error):
     with pytest.raises(error) as info:
