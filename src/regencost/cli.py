@@ -22,14 +22,13 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import heapq
 import json
 import os
 import sys
+from bisect import bisect_left
 from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
@@ -201,8 +200,12 @@ def _curve_rows(params: SystemParams, samples: int, breakpoints_only: bool) -> l
         first = scaled_low * (samples - 1)
         rise = 3 * flat.numerator * low.denominator - scaled_low
         den = 2 * low.denominator * flat.denominator * (samples - 1)
-        samples_grid = [Fraction(first + rise * i, den) for i in range(samples)]
-        grid = [beta2 for beta2, _ in groupby(heapq.merge(samples_grid, breakpoints))]
+        grid = [Fraction(first + rise * i, den) for i in range(samples)]
+        # each breakpoint (at most k of them, all below the last sample) goes in at its place unless it is a sample
+        for beta2 in breakpoints:
+            at = bisect_left(grid, beta2)
+            if grid[at] != beta2:
+                grid.insert(at, beta2)
     return [
         [cell for field in _CURVE_FIELDS for cell in _exact_cells(getattr(point, field))]
         for point in (tradeoff.operating_point(params, beta2) for beta2 in grid)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from random import Random
 from typing import Iterable, Iterator, TypeVar, Union
 
@@ -124,6 +123,13 @@ class SystemParams:
     kprime >= 1.  d1 = 0 or d2 = 0 are permitted; quantities whose
     denominators then vanish raise DegenerateConfigurationError at the
     point of use rather than here.
+
+    Construction also sets two derived attributes, each one Fraction built
+    from integer parts: ``gamma_per_beta2 = d1*kprime + d2`` and
+    ``cost_per_beta2 = cost_cheap*d1*kprime + cost_expensive*d2``, the
+    repair bandwidth and cost per unit of expensive-tier download.  They
+    are plain instance attributes, not fields: ``astuple``, ``repr``,
+    ``==`` and ``hash`` see the eight fields only.
     """
 
     n: int
@@ -145,7 +151,9 @@ class SystemParams:
             object.__setattr__(self, name, as_fraction(getattr(self, name), name))
         if self.k < 1:
             raise NonPositiveError(f"k must be at least 1, got {exact_str(self.k)}")
-        if self.file_size <= 0:
+        # a Fraction's denominator is positive, so its sign is its numerator's and an order is one of
+        # cross-multiplied integers
+        if self.file_size.numerator <= 0:
             raise NonPositiveError(f"file_size must be positive, got {exact_str(self.file_size)}")
         as_nonnegative(self.cost_cheap, "cost_cheap")
         if self.d1 < 0 or self.d2 < 0:
@@ -158,13 +166,21 @@ class SystemParams:
             raise InvalidDegreeError(f"d1 + d2 must reach k, got d={exact_str(self.d)}, k={exact_str(self.k)}")
         if self.d > self.n - 1:
             raise InvalidDegreeError(f"d1 + d2 can be at most n - 1, got d={exact_str(self.d)}, n={exact_str(self.n)}")
-        if self.cost_cheap > self.cost_expensive:
+        kn, kd = self.kprime.numerator, self.kprime.denominator
+        c1n, c1d = self.cost_cheap.numerator, self.cost_cheap.denominator
+        c2n, c2d = self.cost_expensive.numerator, self.cost_expensive.denominator
+        if c1n * c2d > c2n * c1d:
             raise InvalidCostOrderError(
                 "cost_cheap must not exceed cost_expensive, got "
                 f"{exact_str(self.cost_cheap)} > {exact_str(self.cost_expensive)}"
             )
-        if self.kprime < 1:
+        if kn < kd:
             raise InvalidRatioError(f"kprime must be at least 1, got {exact_str(self.kprime)}")
+        d1, d2 = self.d1, self.d2
+        object.__setattr__(self, "gamma_per_beta2", Fraction(d1 * kn + d2 * kd, kd))
+        object.__setattr__(
+            self, "cost_per_beta2", Fraction(c1n * d1 * kn * c2d + c2n * d2 * c1d * kd, c1d * kd * c2d)
+        )
 
     @property
     def d(self) -> int:
@@ -174,17 +190,6 @@ class SystemParams:
     @property
     def scenario(self) -> Scenario:
         return Scenario.A if self.d1 >= self.k else Scenario.B
-
-    # computed on first use and kept in the instance's __dict__; a dataclasses.replace copy computes its own
-    @cached_property
-    def gamma_per_beta2(self) -> Fraction:
-        """Repair bandwidth per unit of expensive-tier download: d1*kprime + d2."""
-        return self.d1 * self.kprime + self.d2
-
-    @cached_property
-    def cost_per_beta2(self) -> Fraction:
-        """Repair cost per unit of expensive-tier download: cost_cheap*d1*kprime + cost_expensive*d2."""
-        return self.cost_cheap * self.d1 * self.kprime + self.cost_expensive * self.d2
 
 
 # the same constructor under its older name, kept for the callers that still import it

@@ -222,9 +222,15 @@ def bandwidth_ratio(params: SystemParams, kind: str) -> Fraction:
 
 
 def cost_ratio(params: SystemParams, kind: str) -> Fraction:
-    """Download cost of the two-tier extremal relative to the symmetric one."""
+    """Download cost of the two-tier extremal relative to the symmetric one.
+
+    The two-tier weight is ``params.cost_per_beta2``; the symmetric one, c1*d1 + c2*d2 with
+    costs c1 = an/ad and c2 = bn/bd, is built here as one Fraction from those integer parts.
+    """
     c1, c2 = params.cost_cheap, params.cost_expensive
-    return _extremal_ratio(params, kind, params.cost_per_beta2, c1 * params.d1 + c2 * params.d2)
+    an, ad, bn, bd = c1.numerator, c1.denominator, c2.numerator, c2.denominator
+    symmetric = Fraction(an * params.d1 * bd + bn * params.d2 * ad, ad * bd)
+    return _extremal_ratio(params, kind, params.cost_per_beta2, symmetric)
 
 
 def _extremal_ratio(params: SystemParams, kind: str, per_beta2: Fraction, symmetric: Fraction | int) -> Fraction:

@@ -214,6 +214,21 @@ def test_curve_sampling_properties(capsys):
         assert F(row[8]) == 4 * F(row[0]) + F(row[0])  # cost at unit prices
 
 
+@pytest.mark.parametrize("samples", [2, 3, 200])
+def test_curve_grid_is_the_samples_and_the_breakpoints(samples):
+    # the grid, stated here: samples from beta2_min to 3/2 of the flat branch's start, evenly spaced,
+    # with every breakpoint that is not a sample put in
+    for params in regencost.cutflow.verification_sweep(max_k=4, max_d=6):
+        breakpoints = regencost.tradeoff.tradeoff_curve(params).breakpoints()
+        low, high = breakpoints[0], F(3, 2) * breakpoints[-1]
+        sampled = [low + (high - low) * i / (samples - 1) for i in range(samples)]
+        beta2s = [F(row[0]) for row in cli._curve_rows(params, samples, breakpoints_only=False)]
+        assert all(lo < hi for lo, hi in zip(beta2s, beta2s[1:])), params
+        assert set(breakpoints) <= set(beta2s), params
+        assert len(beta2s) == samples + len(set(breakpoints) - set(sampled)), params
+        assert beta2s == sorted(set(sampled) | set(breakpoints)), params
+
+
 def test_curve_rejects_tiny_sample_counts(capsys):
     for samples in ("0", "1"):
         code, out, err = run_cli(["curve", "--samples", samples, *A_SMALL_FLAGS], capsys)

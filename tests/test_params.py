@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from random import Random
 
@@ -89,6 +90,35 @@ def test_nonpositive_quantities_rejected():
         make_params(2, 2, 1, file_size=0)
     with pytest.raises(NonPositiveError):
         make_params(2, 2, 1, cost_cheap=-1, cost_expensive=1)
+
+
+def _fraction_checks(kprime, file_size, cost_cheap, cost_expensive):
+    # SystemParams' rational checks, in its order, by Fraction comparison: the error class and message, or None
+    if file_size <= 0:
+        return NonPositiveError, f"file_size must be positive, got {file_size}"
+    if cost_cheap < 0:
+        return NonPositiveError, f"cost_cheap must be nonnegative, got {cost_cheap}"
+    if cost_cheap > cost_expensive:
+        return InvalidCostOrderError, f"cost_cheap must not exceed cost_expensive, got {cost_cheap} > {cost_expensive}"
+    if kprime < 1:
+        return InvalidRatioError, f"kprime must be at least 1, got {kprime}"
+    return None
+
+
+def test_rational_checks_match_fraction_comparisons_at_each_boundary():
+    # on, just above and just below each boundary, with unequal denominators, alone and together
+    F = Fraction
+    kprimes = (F(1), F(999, 1000), F(1001, 1000))
+    file_sizes = (F(0), F(-1, 3), F(1, 10**30))
+    costs = ((F(2, 3), F(2, 3)), (F(2, 3), F(3, 5)), (F(3, 5), F(2, 3)), (F(0), F(0)))
+    for kprime, file_size, (cost_cheap, cost_expensive) in itertools.product(kprimes, file_sizes, costs):
+        expected = _fraction_checks(kprime, file_size, cost_cheap, cost_expensive)
+        try:
+            make_params(2, 2, 1, kprime, file_size=file_size, cost_cheap=cost_cheap, cost_expensive=cost_expensive)
+            outcome = None
+        except (NonPositiveError, InvalidCostOrderError, InvalidRatioError) as exc:
+            outcome = type(exc), str(exc)
+        assert outcome == expected, (kprime, file_size, cost_cheap, cost_expensive)
 
 
 def test_rational_inputs_accepted_as_strings():

@@ -1,5 +1,5 @@
 import itertools
-from dataclasses import replace
+from dataclasses import astuple, replace
 from fractions import Fraction
 
 import pytest
@@ -726,6 +726,39 @@ def test_per_beta2_values_are_computed_once_per_instance():
         other_costs = replace(params, cost_cheap=c1 + 1, cost_expensive=c2 + 3)
         assert other_costs.gamma_per_beta2 == params.gamma_per_beta2
         assert other_costs.cost_per_beta2 == (c1 + 1) * d1 * kprime + (c2 + 3) * d2
+
+
+_WEIGHT_COSTS = ((0, 0), (0, F(5, 7)), (F(1, 3), F(5, 7)), (F(2, 3), F(2, 3)), (1, 10**30 + 1))
+
+
+def test_per_beta2_weights_equal_their_fraction_formulas():
+    # the weights SystemParams builds from integer parts, and cost_ratio's symmetric weight, against
+    # the chained Fraction formulas they replace, on rational kprime and costs
+    for base, kprime, (c1, c2) in itertools.product(
+        verification_sweep(max_k=4, max_d=6), (1, F(3, 2), F(13, 4), 7), _WEIGHT_COSTS
+    ):
+        c1, c2 = F(c1), F(c2)
+        params = replace(base, kprime=F(kprime), cost_cheap=c1, cost_expensive=c2)
+        d1, d2, kp = params.d1, params.d2, params.kprime
+        cost = c1 * d1 * kp + c2 * d2
+        assert params.gamma_per_beta2 == d1 * kp + d2
+        assert params.cost_per_beta2 == cost
+        for kind in ("msr", "mbr"):
+            expected = _outcome(_printed_ratio, params, kind, cost, c1 * d1 + c2 * d2)
+            assert _outcome(cost_ratio, params, kind) == expected, (params, kind)
+
+
+def test_per_beta2_weights_are_not_fields():
+    for params in (A_SMALL, B_WIDE, RATIONAL[0], replace(A_WIDE, cost_cheap=F(1, 3), cost_expensive=F(5, 7))):
+        fields = astuple(params)
+        assert len(fields) == 8
+        assert params == replace(params) and hash(params) == hash(fields)
+        assert params != replace(params, cost_expensive=params.cost_expensive + 1)
+        assert "per_beta2" not in repr(params)
+    assert repr(RATIONAL[0]) == (
+        "SystemParams(n=7, k=3, d1=4, d2=2, kprime=Fraction(5, 2), file_size=Fraction(7, 3), "
+        "cost_cheap=Fraction(1, 1), cost_expensive=Fraction(1, 1))"
+    )
 
 
 def test_operating_point_can_flag_chatty_helpers():
